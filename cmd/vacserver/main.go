@@ -37,6 +37,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -117,23 +118,7 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 	if onReady != nil {
 		onReady(ln.Addr().String())
 	}
-
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	// Graceful drain: stop accepting, let in-flight requests finish.
-	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return err
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serve(ctx, ln, srv); err != nil {
 		return err
 	}
 	snap := srv.MetricsSnapshot()
@@ -161,30 +146,16 @@ func runRelay(ctx context.Context, addr, upstream string, shards int, out io.Wri
 		onReady(ln.Addr().String())
 	}
 
+	// The upstream park stops with ctx, alongside the downstream drain,
+	// or when serving fails.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	syncDone := make(chan struct{})
 	go func() { defer close(syncDone); rl.Run(runCtx) }()
-
-	hs := &http.Server{Handler: rl.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		cancel()
-		<-syncDone
-		return err
-	case <-ctx.Done():
-	}
+	err = serve(ctx, ln, rl.Server())
 	cancel()
 	<-syncDone
-	sctx, scancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer scancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return err
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err != nil {
 		return err
 	}
 	st := rl.Stats()
@@ -193,6 +164,58 @@ func runRelay(ctx context.Context, addr, upstream string, shards int, out io.Wri
 		"vacserver: relay final stats: mirrored_version=%d upstream_syncs=%d upstream_deltas=%d upstream_errors=%d resyncs=%d served_requests=%d served_deltas=%d cache_hits=%d\n",
 		rl.Version(), st.Syncs, st.Deltas, st.Errors, st.Resyncs,
 		snap.Requests, snap.DeltasServed, snap.EncodeCacheHits)
+	return nil
+}
+
+// serve runs srv on ln until ctx is cancelled, then drains it within
+// shutdownGrace. Shutdown wakes the long-polls parked in srv, and
+// closes the connections that never sent a request: http.Server counts
+// those as busy for five seconds, the whole grace period.
+func serve(ctx context.Context, ln net.Listener, srv *fleet.Server) error {
+	var mu sync.Mutex
+	fresh := make(map[net.Conn]bool) // connections still in StateNew
+	closing := false
+	hs := &http.Server{
+		Handler: srv.Handler(),
+		ConnState: func(c net.Conn, st http.ConnState) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case st != http.StateNew:
+				delete(fresh, c)
+			case closing:
+				c.Close()
+			default:
+				fresh[c] = true
+			}
+		},
+	}
+	hs.RegisterOnShutdown(srv.Drain)
+	hs.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		closing = true
+		for c := range fresh {
+			c.Close()
+		}
+	})
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
+	}
+	// Graceful drain: stop accepting, let in-flight requests finish.
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		return err
+	}
+	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
 	return nil
 }
 

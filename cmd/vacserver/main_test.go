@@ -291,6 +291,79 @@ func TestRelayModeServesUpstream(t *testing.T) {
 	}
 }
 
+// waitMetrics polls base's /v1/metrics until ok accepts a snapshot.
+func waitMetrics(t *testing.T, base string, ok func(fleet.MetricsSnapshot) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(base + fleet.PathMetrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap fleet.MetricsSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err == nil && ok(snap) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics of %s never reached the expected state: %+v (%v)", base, snap, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShutdownAnswersParkedClient parks a live client on wait=60s and
+// shuts the server down: run must return nil within a second — the
+// parked poll answered with a 304 — and print its final stats line, in
+// origin and relay mode alike.
+func TestShutdownAnswersParkedClient(t *testing.T) {
+	pack := writePack(t, 5)
+	originBase, originShutdown := bootServer(t, &lockedBuffer{}, "-addr", "127.0.0.1:0", "-pack", pack)
+	defer originShutdown()
+	for _, tc := range []struct {
+		name, final string
+		args        []string
+	}{
+		{"origin", "vacserver: final stats", []string{"-addr", "127.0.0.1:0", "-pack", pack}},
+		{"relay", "vacserver: relay final stats", []string{"-addr", "127.0.0.1:0", "-upstream", originBase}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := &lockedBuffer{}
+			base, shutdown := bootServer(t, out, tc.args...)
+			waitMetrics(t, base, func(m fleet.MetricsSnapshot) bool { return m.Version == 5 })
+			status := make(chan int, 1)
+			go func() {
+				resp, err := http.Get(base + fleet.PathPacks + "?since=5&wait=60s")
+				if err != nil {
+					status <- 0
+					return
+				}
+				resp.Body.Close()
+				status <- resp.StatusCode
+			}()
+			waitMetrics(t, base, func(m fleet.MetricsSnapshot) bool { return m.LongPolls == 1 })
+
+			start := time.Now()
+			shutdown()
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("shutdown with a parked client took %v", took)
+			}
+			select {
+			case code := <-status:
+				if code != http.StatusNotModified {
+					t.Fatalf("parked client got %d, want 304", code)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("parked client never answered")
+			}
+			if !strings.Contains(out.String(), tc.final) {
+				t.Fatalf("output missing %q:\n%s", tc.final, out.String())
+			}
+		})
+	}
+}
+
 func TestRelayModeRejectsOriginFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-upstream", "http://127.0.0.1:1", "-pack", "x.json"},

@@ -1,29 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"time"
 
 	"autovac/internal/deploy"
 	"autovac/internal/winenv"
-)
-
-// Agent defaults. The retry budget is deliberately deeper than any
-// periodic fault a lossy path is likely to inject: with the server's
-// encode cache answering a woken herd in near-lockstep, a budget equal
-// to a fault period can resonate with it (every attempt of one agent
-// landing on the faulting slot) and burn out on a fault rate the
-// backoff would otherwise absorb.
-const (
-	DefaultMaxRetries  = 6
-	DefaultBaseBackoff = 25 * time.Millisecond
-	DefaultMaxBackoff  = 2 * time.Second
 )
 
 // AgentConfig configures one host agent.
@@ -86,62 +73,60 @@ type AgentStats struct {
 }
 
 // Agent is a host-side fleet client: it polls the server for vaccine
-// deltas with jittered exponential backoff, installs them through the
+// deltas through the shared sync client (jittered exponential backoff,
+// decode and validation, Reset rebase), installs them through the
 // host's deploy daemon (which resolves identifiers per host, replaying
 // slices for algorithm-deterministic vaccines), and heartbeats the
 // applied version back. An Agent is single-goroutine; run many agents
 // for many hosts.
 //
-// Concurrency contract: every mutable field — version, etag, stats,
-// and in particular rng — is owned by the goroutine driving SyncOnce
-// or Run. The retry backoff (after a failed fetch or checkin) and the
-// poll-loop jitter both draw from rng, but always from that one
-// goroutine: checkins are performed inline in SyncOnce, never from a
-// separate goroutine, so the rng is never reached concurrently.
-// TestAgentRNGOwnership pins this under -race.
+// Concurrency contract: every mutable field — the sync client's
+// cursor, its rng, and the install counters — is owned by the goroutine
+// driving SyncOnce or Run. The retry backoff (after a failed fetch or
+// checkin) and the poll-loop jitter both draw from the client's rng,
+// but always from that one goroutine: checkins are performed inline in
+// SyncOnce, never from a separate goroutine, so the rng is never
+// reached concurrently. TestAgentRNGOwnership pins this under -race.
 type Agent struct {
 	cfg    AgentConfig
 	daemon *deploy.Daemon
-	// version and etag track the last applied delta.
-	version uint64
-	etag    string
-	// rng is owned by this agent exclusively (never shared between
-	// agents, never a package-level source): it feeds retry backoff
-	// and Run's poll jitter from the agent's single goroutine.
-	rng   *rand.Rand
+	sync   *syncClient
+	// stats holds the install and check-in counters; the protocol
+	// counters live in sync.
 	stats AgentStats
 }
 
 // NewAgent creates an agent bound to a host environment.
 func NewAgent(cfg AgentConfig) *Agent {
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.Host == "" && cfg.Env != nil {
 		cfg.Host = cfg.Env.Identity().ComputerName
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
 	cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
-	return &Agent{
-		cfg:    cfg,
-		daemon: deploy.NewDaemon(cfg.Env, cfg.Seed),
-		rng:    rand.New(rand.NewSource(int64(cfg.Seed) ^ int64(fnv32a(cfg.Host)))),
+	a := &Agent{cfg: cfg, daemon: deploy.NewDaemon(cfg.Env, cfg.Seed)}
+	a.sync = newSyncClient(cfg.Client, cfg.BaseURL, cfg.LongPoll, cfg.Binary,
+		int64(cfg.Seed)^int64(fnv32a(cfg.Host)), a.install)
+	if cfg.MaxRetries > 0 {
+		a.sync.maxRetries = cfg.MaxRetries
 	}
+	if cfg.BaseBackoff > 0 {
+		a.sync.baseBackoff = cfg.BaseBackoff
+	}
+	if cfg.MaxBackoff > 0 {
+		a.sync.maxBackoff = cfg.MaxBackoff
+	}
+	return a
 }
 
 // Version returns the latest registry version the agent has applied.
-func (a *Agent) Version() uint64 { return a.version }
+func (a *Agent) Version() uint64 { return a.sync.Version() }
 
 // Stats returns the agent's sync counters.
-func (a *Agent) Stats() AgentStats { return a.stats }
+func (a *Agent) Stats() AgentStats {
+	st, c := a.stats, a.sync.counters()
+	st.Syncs, st.Deltas, st.NotModified = c.syncs, c.deltas, c.notModified
+	st.Retries, st.DecodeErrors, st.Resyncs = c.retries, c.decodeErrors, c.resyncs
+	return st
+}
 
 // Daemon returns the host's vaccine daemon.
 func (a *Agent) Daemon() *deploy.Daemon { return a.daemon }
@@ -152,149 +137,15 @@ func (a *Agent) Env() *winenv.Env { return a.cfg.Env }
 // Host returns the agent's check-in identifier.
 func (a *Agent) Host() string { return a.cfg.Host }
 
-// minJitterInterval is the floor every jittered delay is clamped to:
-// below it rng.Int63n would be fed a non-positive bound (a panic for
-// interval <= 0) and the poll loop would spin hot.
-const minJitterInterval = time.Millisecond
-
-// jitteredInterval returns d with ±50% jitter (uniform in [d/2, 3d/2)),
-// clamping d to minJitterInterval first. It is the one shared jitter
-// helper: retry backoff and the poll loop both draw through it, so
-// neither can panic on a degenerate duration.
-func jitteredInterval(rng *rand.Rand, d time.Duration) time.Duration {
-	if d < minJitterInterval {
-		d = minJitterInterval
-	}
-	return d/2 + time.Duration(rng.Int63n(int64(d)))
-}
-
-// backoffDelay computes the sleep before retry attempt n (0-based):
-// exponential growth with ±50% jitter, clamped to MaxBackoff. The
-// clamp applies to the jittered value, not just the exponential base —
-// otherwise an attempt at the cap could draw up to 1.5×MaxBackoff.
-func (a *Agent) backoffDelay(n int) time.Duration {
-	d := a.cfg.BaseBackoff << uint(n)
-	if d > a.cfg.MaxBackoff || d <= 0 {
-		d = a.cfg.MaxBackoff
-	}
-	d = jitteredInterval(a.rng, d)
-	if d > a.cfg.MaxBackoff {
-		d = a.cfg.MaxBackoff
-	}
-	return d
-}
-
-// backoff sleeps before retry attempt n (0-based), honouring context
-// cancellation.
-func (a *Agent) backoff(ctx context.Context, n int) error {
-	t := time.NewTimer(a.backoffDelay(n))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// retry runs op with bounded, jittered-exponential-backoff retries.
-func (a *Agent) retry(ctx context.Context, op func() error) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if attempt >= a.cfg.MaxRetries {
-			return err
-		}
-		a.stats.Retries++
-		if berr := a.backoff(ctx, attempt); berr != nil {
-			return berr
-		}
-	}
-}
-
-// fetch performs one GET /v1/packs round trip. A nil delta with nil
-// error means 304 Not Modified (for a long-poll fetch: the wait
-// expired with nothing published).
-func (a *Agent) fetch(ctx context.Context) (*DeltaResponse, error) {
-	url := fmt.Sprintf("%s%s?since=%d", a.cfg.BaseURL, PathPacks, a.version)
-	if a.cfg.LongPoll > 0 {
-		url += "&wait=" + a.cfg.LongPoll.String()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	if a.etag != "" {
-		req.Header.Set("If-None-Match", a.etag)
-	}
-	if a.cfg.Binary {
-		req.Header.Set("Accept", ContentTypeDelta)
-	}
-	resp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		return nil, nil
-	case http.StatusOK:
-		delta, err := a.decodeDelta(resp)
-		if err != nil {
-			a.stats.DecodeErrors++
-			return nil, fmt.Errorf("fleet: agent %s: decoding delta: %w", a.cfg.Host, err)
-		}
-		return delta, nil
-	default:
-		// Carry the first line of the error body: "500" alone cannot
-		// distinguish an origin encode failure from an injected fault or
-		// a relay refusing an upstream.
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 120))
-		return nil, fmt.Errorf("fleet: agent %s: packs: %s (%s)",
-			a.cfg.Host, resp.Status, strings.TrimSpace(string(snippet)))
-	}
-}
-
-// decodeDelta decodes one 200 pack body under the encoding the server
-// declared, then sanity-checks the frame against the request. Any
-// failure — truncated binary frame, JSON garbage, a delta answering a
-// different cursor — is a retryable sync error: the caller counts it
-// and backs off, and the agent's cursor and ETag are untouched, so the
-// next attempt re-fetches from known-good state.
-func (a *Agent) decodeDelta(resp *http.Response) (*DeltaResponse, error) {
-	var delta *DeltaResponse
-	if isBinaryDelta(resp.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxDeltaPayload))
-		if err != nil {
-			return nil, err
-		}
-		if delta, err = DecodeDeltaBinary(body); err != nil {
-			return nil, err
-		}
-	} else {
-		delta = new(DeltaResponse)
-		if err := json.NewDecoder(resp.Body).Decode(delta); err != nil {
-			return nil, err
-		}
-	}
-	return delta, a.validateDelta(delta)
-}
-
-// validateDelta rejects structurally-decoded frames that cannot be the
-// answer to the request we made: a missing content digest, or a delta
-// cut after a cursor we never sent (a cache or relay serving someone
-// else's response). Reset deltas are exempt from the cursor check —
-// they rebase the agent by design.
-func (a *Agent) validateDelta(d *DeltaResponse) error {
-	if d.ETag == "" {
-		return fmt.Errorf("delta missing ETag")
-	}
-	if !d.Reset && d.Since != a.version {
-		return fmt.Errorf("delta for since=%d, requested %d", d.Since, a.version)
-	}
-	return nil
+// install is the agent's apply: it installs a delta's vaccines through
+// the host daemon. On a Reset the installed vaccines stay installed
+// (immunization is additive); only the sync cursor moves back.
+func (a *Agent) install(d *DeltaResponse) (int, error) {
+	installed, skipped, failed := a.daemon.InstallPack(d.Vaccines)
+	a.stats.Applied += installed
+	a.stats.Skipped += skipped
+	a.stats.Failed += failed
+	return installed, nil
 }
 
 // checkin delivers one heartbeat.
@@ -302,7 +153,7 @@ func (a *Agent) checkin(ctx context.Context) error {
 	inspected, intercepted := a.daemon.Stats()
 	body, err := json.Marshal(CheckinRequest{
 		Host:        a.cfg.Host,
-		Version:     a.version,
+		Version:     a.Version(),
 		Installed:   a.daemon.VaccineCount(),
 		Inspected:   inspected,
 		Intercepted: intercepted,
@@ -311,18 +162,17 @@ func (a *Agent) checkin(ctx context.Context) error {
 		return err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.cfg.BaseURL+PathCheckin, strings.NewReader(string(body)))
+		a.cfg.BaseURL+PathCheckin, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.cfg.Client.Do(req)
+	resp, _, err := a.sync.do(req)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: agent %s: checkin: %s", a.cfg.Host, resp.Status)
+		return fmt.Errorf("checkin: %s", resp.Status)
 	}
 	a.stats.Checkins++
 	return nil
@@ -333,40 +183,12 @@ func (a *Agent) checkin(ctx context.Context) error {
 // daemon, and heartbeat the result. It returns the number of vaccines
 // newly installed.
 func (a *Agent) SyncOnce(ctx context.Context) (int, error) {
-	var delta *DeltaResponse
-	err := a.retry(ctx, func() error {
-		d, err := a.fetch(ctx)
-		if err != nil {
-			return err
-		}
-		delta = d
-		return nil
-	})
+	applied, err := a.sync.sync(ctx)
+	if err == nil {
+		err = a.sync.retry(ctx, func() error { return a.checkin(ctx) })
+	}
 	if err != nil {
-		return 0, err
-	}
-	applied := 0
-	if delta == nil {
-		a.stats.NotModified++
-	} else {
-		a.stats.Deltas++
-		if delta.Reset || delta.Version < a.version {
-			// The server's version line restarted below ours: rebase on
-			// it. Installed vaccines stay installed (immunization is
-			// additive); only the sync cursor moves back.
-			a.stats.Resyncs++
-		}
-		installed, skipped, failed := a.daemon.InstallPack(delta.Vaccines)
-		a.stats.Applied += installed
-		a.stats.Skipped += skipped
-		a.stats.Failed += failed
-		applied = installed
-		a.version = delta.Version
-		a.etag = `"` + delta.ETag + `"`
-	}
-	a.stats.Syncs++
-	if err := a.retry(ctx, func() error { return a.checkin(ctx) }); err != nil {
-		return applied, err
+		return applied, fmt.Errorf("fleet: agent %s: %w", a.cfg.Host, err)
 	}
 	return applied, nil
 }
@@ -375,24 +197,14 @@ func (a *Agent) SyncOnce(ctx context.Context) (int, error) {
 // ±50% jitter, floored at minJitterInterval so a zero or negative
 // interval cannot panic the jitter draw) between sync cycles. With
 // LongPoll configured the park happens server-side inside SyncOnce, so
-// only a token jittered delay separates cycles — deltas then arrive at
-// publish latency. Sync errors are counted and the loop continues; the
-// only exit is context cancellation, whose cause is returned as nil
-// for a clean ctx.Done.
+// a successful cycle re-polls at once — deltas then arrive at publish
+// latency. A failed cycle is followed by at least a saturated backoff
+// and the loop continues; the only exit is context cancellation, which
+// returns nil.
 func (a *Agent) Run(ctx context.Context, interval time.Duration) error {
-	for {
-		if _, err := a.SyncOnce(ctx); err != nil && ctx.Err() != nil {
-			return nil
-		}
-		if a.cfg.LongPoll > 0 {
-			interval = minJitterInterval
-		}
-		t := time.NewTimer(jitteredInterval(a.rng, interval))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil
-		case <-t.C:
-		}
-	}
+	a.sync.run(ctx, interval, func(ctx context.Context) error {
+		_, err := a.SyncOnce(ctx)
+		return err
+	})
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -124,6 +125,37 @@ func TestAgentDeltaSyncInstallsOnlyNew(t *testing.T) {
 	}
 }
 
+// TestAgentReusesConnection counts the TCP dials behind repeated
+// syncs: every response body, check-ins included, must be read to EOF
+// before it is closed, so one keep-alive connection carries every
+// request. A check-in closed unread cost one dial per sync.
+func TestAgentReusesConnection(t *testing.T) {
+	srv, ts := newTestServer(t)
+	srv.Registry().Publish(testVaccines("ka", 3)...)
+	var dials atomic.Int64
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	id := winenv.DefaultIdentity()
+	id.ComputerName = "AGENT-PC-KA"
+	a := NewAgent(AgentConfig{BaseURL: ts.URL, Env: winenv.New(id), Seed: 42,
+		Client: &http.Client{Transport: tr}})
+	const syncs = 10
+	for i := 0; i < syncs; i++ {
+		if _, err := a.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := a.Stats(); st.Deltas != 1 || st.NotModified != syncs-1 || st.Checkins != syncs {
+		t.Fatalf("agent stats %+v", st)
+	}
+	if n := dials.Load(); n > 1 {
+		t.Fatalf("%d syncs dialled %d connections, want 1", syncs, n)
+	}
+}
+
 // flakyFront fails the first n requests with 500, then delegates.
 type flakyFront struct {
 	next  http.Handler
@@ -188,7 +220,7 @@ func TestAgentRNGOwnership(t *testing.T) {
 	}))
 	defer ts.Close()
 	a, b := newTestAgent(ts, "RNG-PC-01"), newTestAgent(ts, "RNG-PC-02")
-	if a.rng == b.rng {
+	if a.sync.rng == b.sync.rng {
 		t.Fatal("two agents share one rng instance")
 	}
 
@@ -291,7 +323,7 @@ func TestAgentResyncAfterRegistryRestart(t *testing.T) {
 	srv, ts := newTestServer(t)
 	srv.Registry().Publish(testVaccines("rb", 2)...)
 	a := newTestAgent(ts, "AGENT-PC-RB")
-	a.version = 99 // cursor from the previous registry incarnation
+	a.sync.version = 99 // cursor from the previous registry incarnation
 
 	applied, err := a.SyncOnce(context.Background())
 	if err != nil {
@@ -353,11 +385,13 @@ func TestAgentLongPollWakesOnPublish(t *testing.T) {
 	}
 }
 
-// TestAgentBackoffBounded pins the backoff envelope: every retry delay
-// stays within [BaseBackoff/2, MaxBackoff], including attempts whose
-// exponential base has already saturated at the cap. Before the
-// post-jitter clamp, a saturated attempt could draw MaxBackoff/2 +
-// jitter(MaxBackoff) — up to 1.5× the configured ceiling.
+// TestAgentBackoffBounded pins the envelope of the sync client's one
+// backoff function, through the policy an AgentConfig sets: every
+// retry delay stays within [BaseBackoff/2, MaxBackoff], including
+// attempts whose exponential base has already saturated at the cap.
+// Before the post-jitter clamp, a saturated attempt could draw
+// MaxBackoff/2 + jitter(MaxBackoff) — up to 1.5× the configured
+// ceiling.
 func TestAgentBackoffBounded(t *testing.T) {
 	cases := []struct {
 		name string
@@ -380,7 +414,7 @@ func TestAgentBackoffBounded(t *testing.T) {
 			// Attempt numbers past saturation and past shift overflow.
 			for _, n := range []int{0, 1, 2, 3, 8, 16, 40, 63} {
 				for draw := 0; draw < 200; draw++ {
-					d := a.backoffDelay(n)
+					d := a.sync.backoffDelay(n)
 					if d > tc.max {
 						t.Fatalf("attempt %d: delay %v exceeds MaxBackoff %v", n, d, tc.max)
 					}
@@ -421,7 +455,7 @@ func TestAgentMalformedDeltaIsRetryable(t *testing.T) {
 			ts := httptest.NewServer(&garbageFront{binary: tc.binary})
 			defer ts.Close()
 			a := newTestAgent(ts, "AGENT-PC-GB")
-			a.cfg.Binary = tc.binary
+			a.sync.binary = tc.binary
 			if _, err := a.SyncOnce(context.Background()); err == nil {
 				t.Fatal("sync succeeded on a malformed body")
 			}
@@ -453,17 +487,50 @@ func (f *wrongCursorFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.srv.Handler().ServeHTTP(w, r)
 }
 
+// TestAgentRejectsDeltaForWrongCursor runs the wrong-cursor front
+// against both consumers of the sync client that install what they
+// fetch: the agent and the relay. Each must reject the delta as a
+// decode error, leave its cursor at 0, and — for the relay — leave the
+// mirror untouched, so downstream agents never see the stray content.
 func TestAgentRejectsDeltaForWrongCursor(t *testing.T) {
 	srv := NewServer(NewRegistry(0))
 	srv.Registry().Publish(testVaccines("wc", 9)...)
 	ts := httptest.NewServer(&wrongCursorFront{srv: srv})
 	defer ts.Close()
-	a := newTestAgent(ts, "AGENT-PC-WC")
-	if _, err := a.SyncOnce(context.Background()); err == nil {
-		t.Fatal("agent accepted a delta answering a different cursor")
-	}
-	if st := a.Stats(); st.DecodeErrors == 0 || a.Version() != 0 {
-		t.Fatalf("wrong-cursor delta not rejected: version %d, stats %+v", a.Version(), st)
+	for _, tc := range []struct {
+		name string
+		// sync runs one sync round, returning the client and the
+		// registry the round would have fed (nil for the agent).
+		sync func(t *testing.T) (*syncClient, *Registry, error)
+	}{
+		{"agent", func(t *testing.T) (*syncClient, *Registry, error) {
+			a := newTestAgent(ts, "AGENT-PC-WC")
+			_, err := a.SyncOnce(context.Background())
+			return a.sync, nil, err
+		}},
+		{"relay", func(t *testing.T) (*syncClient, *Registry, error) {
+			rl, err := NewRelay(RelayConfig{Upstream: ts.URL, LongPoll: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rl.sync.baseBackoff, rl.sync.maxBackoff = time.Millisecond, 5*time.Millisecond
+			_, err = rl.SyncOnce(context.Background())
+			return rl.sync, rl.Registry(), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, mirror, err := tc.sync(t)
+			if err == nil {
+				t.Fatal("accepted a delta answering a different cursor")
+			}
+			if st := c.counters(); st.decodeErrors == 0 || c.Version() != 0 {
+				t.Fatalf("wrong-cursor delta not rejected: version %d, stats %+v", c.Version(), st)
+			}
+			if mirror != nil && (mirror.Count() != 0 || mirror.Latest() != 0) {
+				t.Fatalf("rejected delta reached the mirror: %d vaccines at version %d",
+					mirror.Count(), mirror.Latest())
+			}
+		})
 	}
 }
 

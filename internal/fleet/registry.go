@@ -66,6 +66,10 @@ type Registry struct {
 	// on it and wake the instant a publish lands (see notify.go).
 	notify *notifier
 
+	// publishMu serialises version assignment: a publish stores its
+	// whole batch, then makes the batch's versions visible at once.
+	publishMu sync.Mutex
+
 	// wal, when non-nil, is the durability layer: Publish appends each
 	// accepted vaccine to it and returns only once the records are
 	// fsynced (see wal.go). recovery summarises the boot-time replay.
@@ -174,27 +178,37 @@ func (r *Registry) Analysis() (vaccine.AnalysisStats, bool) {
 // commit). Long-poll waiters are woken only after durability, so no
 // agent can observe a version that a crash could take back.
 func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
+	// Validate up to the first bad vaccine; the ones before it are
+	// still published.
+	var pubErr error
+	fps := make([]string, 0, len(vs))
+	for i := range vs {
+		if err := vs[i].Validate(); err != nil {
+			pubErr = fmt.Errorf("fleet: publish: %w", err)
+			break
+		}
+		if err := vs[i].VerifyReplayable(); err != nil {
+			pubErr = fmt.Errorf("fleet: publish: %w", err)
+			break
+		}
+		fps = append(fps, vs[i].Fingerprint())
+	}
+	// The counter moves once, after the whole batch is stored, so a
+	// concurrent Delta or parked poll never sees a version whose batch
+	// is half stored.
 	stored := 0
 	var batch []walRecord
-	var pubErr error
-	for i := range vs {
+	r.publishMu.Lock()
+	ver := r.version.Load()
+	for i, fp := range fps {
 		v := vs[i]
-		if err := v.Validate(); err != nil {
-			pubErr = fmt.Errorf("fleet: publish: %w", err)
-			break
-		}
-		if err := v.VerifyReplayable(); err != nil {
-			pubErr = fmt.Errorf("fleet: publish: %w", err)
-			break
-		}
-		fp := v.Fingerprint()
 		s := r.shardFor(v.ID)
 		s.mu.Lock()
 		if prev, ok := s.byID[v.ID]; ok && prev.fp == fp {
 			s.mu.Unlock()
 			continue
 		}
-		ver := r.version.Add(1)
+		ver++
 		s.byID[v.ID] = regEntry{v: v, fp: fp, version: ver}
 		s.version = ver
 		s.mu.Unlock()
@@ -203,6 +217,8 @@ func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
 			batch = append(batch, walRecord{Version: ver, Vaccine: v})
 		}
 	}
+	r.version.Store(ver)
+	r.publishMu.Unlock()
 	// Vaccines stored before a mid-batch rejection must still reach
 	// the log and the waiters: the error reports the bad vaccine, not
 	// a rollback.

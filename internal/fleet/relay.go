@@ -3,11 +3,8 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -40,18 +37,10 @@ import (
 // next poll and receive Reset deltas in turn. The rebase cascades down
 // the tree with no side channel.
 type Relay struct {
-	cfg RelayConfig
-	reg *Registry
-	srv *Server
-	rng *rand.Rand
-
-	// mu guards the upstream cursor and stats: SyncOnce runs on the
-	// relay's sync goroutine, Stats and Version may be read from
-	// anywhere.
-	mu      sync.Mutex
-	version uint64
-	etag    string
-	stats   RelayStats
+	cfg  RelayConfig
+	reg  *Registry
+	srv  *Server
+	sync *syncClient
 }
 
 // RelayConfig configures one relay node.
@@ -67,12 +56,6 @@ type RelayConfig struct {
 	LongPoll time.Duration
 	// Shards is the mirror registry's shard count (0 = DefaultShards).
 	Shards int
-	// MaxRetries, BaseBackoff, and MaxBackoff shape the jittered
-	// exponential backoff after a failed upstream round trip, with the
-	// same defaults as AgentConfig.
-	MaxRetries  int
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed feeds the backoff jitter.
 	Seed uint64
 }
@@ -98,29 +81,15 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("fleet: relay: empty upstream URL")
 	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.LongPoll <= 0 {
 		cfg.LongPoll = MaxLongPollWait
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
 	cfg.Upstream = strings.TrimRight(cfg.Upstream, "/")
 	reg := NewRegistry(cfg.Shards)
-	return &Relay{
-		cfg: cfg,
-		reg: reg,
-		srv: NewServer(reg),
-		rng: rand.New(rand.NewSource(int64(cfg.Seed) ^ int64(fnv32a(cfg.Upstream)))),
-	}, nil
+	rl := &Relay{cfg: cfg, reg: reg, srv: NewServer(reg)}
+	rl.sync = newSyncClient(cfg.Client, cfg.Upstream, cfg.LongPoll, true,
+		int64(cfg.Seed)^int64(fnv32a(cfg.Upstream)), rl.mirror)
+	return rl, nil
 }
 
 // Handler returns the relay's downstream HTTP handler — the full sync
@@ -134,132 +103,64 @@ func (rl *Relay) Server() *Server { return rl.srv }
 func (rl *Relay) Registry() *Registry { return rl.reg }
 
 // Version returns the latest upstream version the relay has mirrored.
-func (rl *Relay) Version() uint64 {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.version
-}
+// Safe to call from any goroutine.
+func (rl *Relay) Version() uint64 { return rl.sync.Version() }
 
-// Stats returns the relay's upstream sync counters.
+// Stats returns the relay's upstream sync counters. Safe to call from
+// any goroutine.
 func (rl *Relay) Stats() RelayStats {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.stats
+	c := rl.sync.counters()
+	return RelayStats{Syncs: c.syncs, Deltas: c.deltas, NotModified: c.notModified,
+		Resyncs: c.resyncs, Errors: c.errors}
 }
 
-// SyncOnce performs one upstream round trip: long-poll the upstream
-// for a binary delta past the mirrored cursor and apply it. It returns
-// the number of vaccines applied (0 for a 304).
+// SyncOnce performs one upstream sync round: long-poll the upstream
+// for a binary delta past the mirrored cursor (with retries) and
+// mirror it. It returns the number of vaccines applied (0 for a 304).
+// SyncOnce and Run must be driven from one goroutine.
 func (rl *Relay) SyncOnce(ctx context.Context) (int, error) {
-	rl.mu.Lock()
-	since, etag := rl.version, rl.etag
-	rl.mu.Unlock()
-
-	url := fmt.Sprintf("%s%s?since=%d&wait=%s", rl.cfg.Upstream, PathPacks, since, rl.cfg.LongPoll)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	n, err := rl.sync.sync(ctx)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("fleet: relay: upstream %s: %w", rl.cfg.Upstream, err)
 	}
-	req.Header.Set("Accept", ContentTypeDelta)
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	resp, err := rl.cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		rl.mu.Lock()
-		rl.stats.Syncs++
-		rl.stats.NotModified++
-		rl.mu.Unlock()
-		return 0, nil
-	case http.StatusOK:
-	default:
-		return 0, fmt.Errorf("fleet: relay: upstream packs: %s", resp.Status)
-	}
-	if ct := resp.Header.Get("Content-Type"); !isBinaryDelta(ct) {
-		// A JSON delta has no per-vaccine version line to mirror;
-		// applying it would fork the version space. Refuse loudly.
-		return 0, fmt.Errorf("fleet: relay: upstream %s does not speak the binary delta codec (got %s)", rl.cfg.Upstream, ct)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxDeltaPayload))
-	if err != nil {
-		return 0, err
-	}
-	delta, err := DecodeDeltaBinary(body)
-	if err != nil {
-		return 0, fmt.Errorf("fleet: relay: decoding upstream delta: %w", err)
-	}
-	return rl.applyDelta(delta)
+	return n, nil
 }
 
-// applyDelta mirrors one upstream delta into the local registry and
-// wakes the downstream long-pollers parked on it.
-func (rl *Relay) applyDelta(d *DeltaResponse) (int, error) {
+// mirror is the relay's apply: it mirrors one upstream delta into the
+// local registry and wakes the downstream long-pollers parked on it.
+// The counter moves once, after every record is stored, so a
+// downstream read never sees a version whose records are half applied.
+func (rl *Relay) mirror(d *DeltaResponse) (int, error) {
 	if len(d.Versions) != len(d.Vaccines) {
-		return 0, fmt.Errorf("fleet: relay: delta carries %d versions for %d vaccines", len(d.Versions), len(d.Vaccines))
+		// Only the binary codec carries the per-vaccine version line; a
+		// JSON delta with content would have to be renumbered, forking
+		// the version space. Refuse loudly. (An empty delta has nothing
+		// to renumber.)
+		return 0, fmt.Errorf("delta carries %d versions for %d vaccines: the upstream does not speak the binary delta codec",
+			len(d.Versions), len(d.Vaccines))
 	}
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	if d.Reset || d.Version < rl.version {
+	if d.Reset {
 		// Upstream's version line restarted below ours: rebase the
 		// mirror. Downstream agents, now ahead of it, get Reset deltas
 		// from our own server on their next poll.
 		rl.reg.resetMirror()
-		rl.stats.Resyncs++
 	}
 	for i := range d.Vaccines {
 		rl.reg.applyRecord(walRecord{Version: d.Versions[i], Vaccine: d.Vaccines[i]})
 	}
 	rl.reg.ratchetVersion(d.Version)
 	rl.reg.SetGenerator(d.Generator)
-	rl.version = d.Version
-	rl.etag = `"` + d.ETag + `"`
-	rl.stats.Syncs++
-	rl.stats.Deltas++
-	// Wake downstream parked long-pollers: the mirror moved.
 	rl.reg.notify.wake()
 	return len(d.Vaccines), nil
 }
 
-// Run long-polls the upstream until the context is cancelled. Upstream
-// failures are counted and retried with jittered exponential backoff;
-// success resets the backoff and re-polls immediately (the park
-// happens server-side).
+// Run long-polls the upstream until the context is cancelled. Failed
+// rounds are counted in Stats().Errors and retried after a backoff;
+// success re-polls at once (the park happens server-side).
 func (rl *Relay) Run(ctx context.Context) error {
-	fails := 0
-	for ctx.Err() == nil {
-		if _, err := rl.SyncOnce(ctx); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			rl.mu.Lock()
-			rl.stats.Errors++
-			rl.mu.Unlock()
-			d := rl.cfg.BaseBackoff << uint(fails)
-			if d > rl.cfg.MaxBackoff || d <= 0 {
-				d = rl.cfg.MaxBackoff
-			}
-			if fails < rl.cfg.MaxRetries {
-				fails++
-			}
-			d = jitteredInterval(rl.rng, d)
-			if d > rl.cfg.MaxBackoff {
-				d = rl.cfg.MaxBackoff
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil
-			case <-t.C:
-			}
-			continue
-		}
-		fails = 0
-	}
+	rl.sync.run(ctx, 0, func(ctx context.Context) error {
+		_, err := rl.SyncOnce(ctx)
+		return err
+	})
 	return nil
 }

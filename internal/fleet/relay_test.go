@@ -36,11 +36,9 @@ func newRelayHarness(t *testing.T) *relayHarness {
 	}))
 	t.Cleanup(h.originTS.Close)
 	rl, err := NewRelay(RelayConfig{
-		Upstream:    h.originTS.URL,
-		LongPoll:    time.Second,
-		Seed:        7,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
+		Upstream: h.originTS.URL,
+		LongPoll: time.Second,
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)

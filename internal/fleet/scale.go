@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime/debug"
@@ -22,13 +19,15 @@ import (
 // Control-plane scale simulation: how fast does a publish reach N
 // hosts, and what does the transport cost? Unlike Simulate (which runs
 // full agents with real host environments and deploy daemons over a
-// loopback listener), this harness strips each host to the sync loop
-// itself — version cursor, ETag, HTTP exchange — and runs the exchanges
-// over an in-process transport that invokes the server handler
-// directly. No TCP, no file descriptors, no daemons: the per-host cost
-// is one goroutine, so fleets of 100k–1M hosts fit in one process and
-// the measurement isolates the control plane (registry, handler,
-// long-poll broadcaster) instead of the emulation stack.
+// loopback listener), each host here is the shipped sync client —
+// the same cursor, request, decode, validation, backoff and poll loop
+// Agent and Relay run — with an apply that only records the applied
+// version and time, and the exchanges run over an in-process transport
+// that invokes the server handler directly. No TCP, no file
+// descriptors, no daemons: the per-host cost is one goroutine, so
+// fleets of 100k–1M hosts fit in one process and the measurement
+// isolates the control plane (registry, handler, long-poll
+// broadcaster) instead of the emulation stack.
 
 // ControlPlaneConfig configures SimulateControlPlane.
 type ControlPlaneConfig struct {
@@ -103,16 +102,23 @@ type ControlPlaneResult struct {
 // memTransport invokes an http.Handler in the caller's goroutine — the
 // in-process equivalent of a TCP round trip. A long-poll request parks
 // the calling goroutine inside the handler, exactly like a parked
-// connection, without a second goroutine or a socket.
+// connection, without a second goroutine or a socket. It counts the
+// exchanges it carries and their estimated bytes on the wire.
 type memTransport struct {
-	h http.Handler
+	h               http.Handler
+	requests, bytes atomic.Uint64
 }
 
 func (t *memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := req.Context().Err(); err != nil {
+		return nil, err // as a real transport fails a cancelled request
+	}
 	rec := httptest.NewRecorder()
 	t.h.ServeHTTP(rec, req)
 	resp := rec.Result()
 	resp.Request = req
+	t.requests.Add(1)
+	t.bytes.Add(wireBytes(req, resp, rec.Body.Len()))
 	return resp, nil
 }
 
@@ -145,107 +151,21 @@ func wireBytes(req *http.Request, resp *http.Response, body int) uint64 {
 	return uint64(n + body)
 }
 
-// liteAgent is one simulated host's sync state. The cursor fields and
-// counters are owned by the agent's goroutine; appliedVer/applyNanos
-// are the cross-goroutine convergence signal the publisher reads.
-type liteAgent struct {
-	client  *http.Client
-	baseURL string
-	waitArg string // pre-rendered "&wait=..." (empty = plain poll)
-	binary  bool
-	rng     *rand.Rand
-
-	version uint64
-	etag    string
-
-	requests, bytes     uint64
-	deltas, notModified uint64
-	errors, decodeErrs  uint64
-	applyNanos          atomic.Int64
-	appliedVer          atomic.Uint64
+// simHost is one simulated host: the sync client plus the
+// cross-goroutine convergence signal the publisher reads.
+type simHost struct {
+	sync       *syncClient
+	applyNanos atomic.Int64
+	appliedVer atomic.Uint64
 }
 
-// fetch performs one pack exchange and applies the result to the
-// cursor. Install is a no-op — the measurement is the control plane,
-// not the deploy daemon.
-func (a *liteAgent) fetch(ctx context.Context) error {
-	url := fmt.Sprintf("%s%s?since=%d%s", a.baseURL, PathPacks, a.version, a.waitArg)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	if a.etag != "" {
-		req.Header.Set("If-None-Match", a.etag)
-	}
-	if a.binary {
-		req.Header.Set("Accept", ContentTypeDelta)
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	a.requests++
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		a.notModified++
-		a.bytes += wireBytes(req, resp, 0)
-	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		a.bytes += wireBytes(req, resp, len(body))
-		// Decode under the encoding the server declared, like the real
-		// agent. A malformed body is a retryable condition, not a crash:
-		// count it and leave the cursor where it was.
-		var delta *DeltaResponse
-		if isBinaryDelta(resp.Header.Get("Content-Type")) {
-			delta, err = DecodeDeltaBinary(body)
-		} else {
-			delta = new(DeltaResponse)
-			err = json.Unmarshal(body, delta)
-		}
-		if err != nil {
-			a.decodeErrs++
-			return nil
-		}
-		a.deltas++
-		a.version = delta.Version
-		a.etag = `"` + delta.ETag + `"`
-		a.applyNanos.Store(time.Now().UnixNano())
-		a.appliedVer.Store(delta.Version)
-	default:
-		a.errors++
-	}
-	return nil
-}
-
-// run drives one agent until cancellation: long-polling back to back
-// (the park happens server-side), or plain polling at the configured
-// cadence from a random initial phase.
-func (a *liteAgent) run(ctx context.Context, interval time.Duration) {
-	if a.waitArg != "" {
-		for ctx.Err() == nil {
-			if err := a.fetch(ctx); err != nil {
-				return // transport errors here are context cancellation
-			}
-		}
-		return
-	}
-	timer := time.NewTimer(time.Duration(a.rng.Int63n(int64(interval))))
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		if err := a.fetch(ctx); err != nil {
-			return
-		}
-		timer.Reset(interval)
-	}
+// record is the host's apply: install is a no-op — the measurement is
+// the control plane, not the deploy daemon — so it records when which
+// version arrived.
+func (h *simHost) record(d *DeltaResponse) (int, error) {
+	h.applyNanos.Store(time.Now().UnixNano())
+	h.appliedVer.Store(d.Version)
+	return len(d.Vaccines), nil
 }
 
 // controlPlaneVaccine builds the minimal valid static vaccine the
@@ -293,23 +213,40 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 	reg := NewRegistry(0)
 	reg.SetGenerator("controlplane")
 	srv := NewServer(reg)
-	originClient := &http.Client{Transport: &memTransport{h: srv.Handler()}}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	var agentPanic atomic.Pointer[string]
+	var hostPanic atomic.Pointer[string]
+	// spawn runs one fleet member's loop; a panic in it fails the
+	// simulation instead of the process.
+	spawn := func(what string, loop func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					msg := fmt.Sprintf("fleet: control-plane %s panic: %v\n%s", what, r, debug.Stack())
+					hostPanic.CompareAndSwap(nil, &msg)
+					cancel()
+				}
+			}()
+			loop()
+		}()
+	}
 
-	// With a relay tier, agents talk to their relay's in-process
-	// handler; the origin sees only the relays' long-poll clients.
+	// With a relay tier, hosts talk to their relay's in-process
+	// handler; the origin sees only the relays' long-poll clients,
+	// whose traffic is not counted as the fleet's.
 	relays := make([]*Relay, cfg.Relays)
-	downstream := []*http.Client{originClient}
+	downstream := []*memTransport{{h: srv.Handler()}}
 	if cfg.Relays > 0 {
+		upstream := &http.Client{Transport: &memTransport{h: srv.Handler()}}
 		downstream = downstream[:0]
 		for i := range relays {
 			rl, err := NewRelay(RelayConfig{
 				Upstream: "http://origin.sim",
-				Client:   originClient,
+				Client:   upstream,
 				Seed:     cfg.Seed + uint64(i)*7919,
 			})
 			if err != nil {
@@ -318,49 +255,31 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 				return nil, err
 			}
 			relays[i] = rl
-			downstream = append(downstream, &http.Client{Transport: &memTransport{h: rl.Handler()}})
-			wg.Add(1)
-			go func(rl *Relay) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						msg := fmt.Sprintf("fleet: control-plane relay panic: %v\n%s", r, debug.Stack())
-						agentPanic.CompareAndSwap(nil, &msg)
-						cancel()
-					}
-				}()
-				rl.Run(runCtx)
-			}(rl)
+			downstream = append(downstream, &memTransport{h: rl.Handler()})
+			spawn("relay", func() { rl.Run(runCtx) })
 		}
+	}
+	clients := make([]*http.Client, len(downstream))
+	for i, t := range downstream {
+		clients[i] = &http.Client{Transport: t}
 	}
 
-	waitArg := ""
-	if cfg.LongPoll > 0 {
-		waitArg = "&wait=" + cfg.LongPoll.String()
+	// Build the whole fleet before starting it, so no host polls while
+	// the rest are still being set up.
+	hosts := make([]*simHost, cfg.Hosts)
+	for i := range hosts {
+		h := &simHost{}
+		h.sync = newSyncClient(clients[i%len(clients)], "http://controlplane.sim",
+			cfg.LongPoll, cfg.Binary, int64(cfg.Seed)+int64(i), h.record)
+		hosts[i] = h
 	}
-	agents := make([]*liteAgent, cfg.Hosts)
-	for i := range agents {
-		agents[i] = &liteAgent{
-			client:  downstream[i%len(downstream)],
-			baseURL: "http://controlplane.sim",
-			waitArg: waitArg,
-			binary:  cfg.Binary,
-			rng:     rand.New(rand.NewSource(int64(cfg.Seed) + int64(i))),
-		}
-	}
-	for _, a := range agents {
-		wg.Add(1)
-		go func(a *liteAgent) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					msg := fmt.Sprintf("fleet: control-plane agent panic: %v\n%s", r, debug.Stack())
-					agentPanic.CompareAndSwap(nil, &msg)
-					cancel()
-				}
-			}()
-			a.run(runCtx, cfg.PollInterval)
-		}(a)
+	for _, h := range hosts {
+		spawn("agent", func() {
+			h.sync.run(runCtx, cfg.PollInterval, func(ctx context.Context) error {
+				_, err := h.sync.sync(ctx)
+				return err
+			})
+		})
 	}
 
 	res := &ControlPlaneResult{
@@ -383,12 +302,12 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 		t0 := time.Now()
 		t0n := t0.UnixNano()
 		remaining = remaining[:0]
-		for i := range agents {
+		for i := range hosts {
 			remaining = append(remaining, i)
 		}
 		waveMax := time.Duration(0)
 		for len(remaining) > 0 {
-			if p := agentPanic.Load(); p != nil {
+			if p := hostPanic.Load(); p != nil {
 				wg.Wait()
 				return nil, fmt.Errorf("%s", *p)
 			}
@@ -400,9 +319,9 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 			}
 			keep := remaining[:0]
 			for _, idx := range remaining {
-				a := agents[idx]
-				if a.appliedVer.Load() >= target {
-					lat := time.Duration(a.applyNanos.Load() - t0n)
+				h := hosts[idx]
+				if h.appliedVer.Load() >= target {
+					lat := time.Duration(h.applyNanos.Load() - t0n)
 					if lat < 0 {
 						lat = 0
 					}
@@ -426,16 +345,19 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 	}
 	cancel()
 	wg.Wait()
-	if p := agentPanic.Load(); p != nil {
+	if p := hostPanic.Load(); p != nil {
 		return nil, fmt.Errorf("%s", *p)
 	}
 
-	for _, a := range agents {
-		res.Requests += a.requests
-		res.BytesOnWire += a.bytes
-		res.Deltas += a.deltas
-		res.NotModified += a.notModified
-		res.DecodeErrors += a.decodeErrs
+	for _, h := range hosts {
+		st := h.sync.counters()
+		res.Deltas += uint64(st.deltas)
+		res.NotModified += uint64(st.notModified)
+		res.DecodeErrors += uint64(st.decodeErrors)
+	}
+	for _, t := range downstream {
+		res.Requests += t.requests.Load()
+		res.BytesOnWire += t.bytes.Load()
 	}
 	res.SyncP50 = hist.quantile(0.50)
 	res.SyncP99 = hist.quantile(0.99)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"autovac/internal/vaccine"
@@ -38,6 +39,9 @@ type Server struct {
 	ActiveWindow time.Duration
 	// now is the clock, injectable for tests.
 	now func() time.Time
+	// drain is closed by Drain: parked long-polls return at once.
+	drain     chan struct{}
+	drainOnce sync.Once
 }
 
 // NewServer creates a sync server over a registry.
@@ -49,12 +53,19 @@ func NewServer(reg *Registry) *Server {
 		cache:        newDeltaCache(),
 		ActiveWindow: DefaultActiveWindow,
 		now:          time.Now,
+		drain:        make(chan struct{}),
 	}
 	s.mux.HandleFunc(PathPacks, s.handlePacks)
 	s.mux.HandleFunc(PathCheckin, s.handleCheckin)
 	s.mux.HandleFunc(PathMetrics, s.handleMetrics)
 	return s
 }
+
+// Drain answers every parked long-poll at once — a 304, or the delta
+// if a publish beat it — and makes later waits return immediately.
+// Register it with http.Server.RegisterOnShutdown: a graceful shutdown
+// then finishes without outwaiting MaxLongPollWait.
+func (s *Server) Drain() { s.drainOnce.Do(func() { close(s.drain) }) }
 
 // Handler returns the instrumented HTTP handler.
 func (s *Server) Handler() http.Handler { return instrument(s.metrics, s.mux) }
@@ -201,9 +212,10 @@ func (s *Server) serveCachedDelta(w http.ResponseWriter, r *http.Request, since 
 }
 
 // waitForPublish parks until a version past since is published, the
-// wait expires, or the client goes away, returning the latest version
-// on exit. The broadcaster channel is grabbed before re-reading the
-// version, so a publish landing in between cannot be missed.
+// wait expires, the client goes away, or the server drains, returning
+// the latest version on exit. The broadcaster channel is grabbed
+// before re-reading the version, so a publish landing in between
+// cannot be missed.
 func (s *Server) waitForPublish(ctx context.Context, since uint64, wait time.Duration) uint64 {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
@@ -217,6 +229,8 @@ func (s *Server) waitForPublish(ctx context.Context, since uint64, wait time.Dur
 		case <-timer.C:
 			return s.reg.Latest()
 		case <-ctx.Done():
+			return s.reg.Latest()
+		case <-s.drain:
 			return s.reg.Latest()
 		}
 	}

@@ -257,10 +257,12 @@ func readSegment(path string) (recs []walRecord, good int64, size int64, err err
 	}
 }
 
-// applyRecord installs one replayed record, trusting the log (the
-// vaccine was validated and slice-verified at publish time). Replay is
-// idempotent: an entry only moves forward in version, and the counter
-// only ratchets up.
+// applyRecord installs one replayed or mirrored record, trusting its
+// source (the vaccine was validated and slice-verified at publish
+// time). It is idempotent: an entry only moves forward in version. It
+// leaves the version counter alone: callers ratchet it once per batch,
+// after every record of the batch is stored, so a concurrent Delta
+// never sees a version whose records are half applied.
 func (r *Registry) applyRecord(rec walRecord) {
 	s := r.shardFor(rec.Vaccine.ID)
 	s.mu.Lock()
@@ -275,12 +277,16 @@ func (r *Registry) applyRecord(rec walRecord) {
 		}
 	}
 	s.mu.Unlock()
-	for {
-		cur := r.version.Load()
-		if rec.Version <= cur || r.version.CompareAndSwap(cur, rec.Version) {
-			return
-		}
+}
+
+// applyRecords applies a replayed batch, then ratchets the counter
+// once to the higher of fence and the batch's top version.
+func (r *Registry) applyRecords(recs []walRecord, fence uint64) {
+	for _, rec := range recs {
+		r.applyRecord(rec)
+		fence = max(fence, rec.Version)
 	}
+	r.ratchetVersion(fence)
 }
 
 // OpenRegistry opens (or creates) a persistent registry rooted at dir:
@@ -304,12 +310,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 		if err := json.Unmarshal(data, &snap); err != nil {
 			return nil, fmt.Errorf("fleet: OpenRegistry: corrupt snapshot %s: %w", snapPath, err)
 		}
-		for _, rec := range snap.Records {
-			r.applyRecord(rec)
-		}
-		if snap.Version > r.version.Load() {
-			r.version.Store(snap.Version)
-		}
+		r.applyRecords(snap.Records, snap.Version)
 		r.SetGenerator(snap.Generator)
 		r.recovery.SnapshotVersion = snap.Version
 	} else if !os.IsNotExist(err) {
@@ -337,9 +338,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 			}
 			r.recovery.TruncatedBytes += size - good
 		}
-		for _, rec := range recs {
-			r.applyRecord(rec)
-		}
+		r.applyRecords(recs, 0)
 		replayed += len(recs)
 		r.recovery.Segments++
 		if _, err := fmt.Sscanf(filepath.Base(seg), walSegmentFmt, &lastSeq); err != nil {

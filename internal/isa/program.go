@@ -168,30 +168,30 @@ var (
 // and register destination, and control-flow instructions take their
 // target as a label, not an operand.
 var opShapes = map[Opcode]operandShape{
-	NOP:     {noOperand, noOperand},
-	MOV:     {writable, anyKind},
-	MOVB:    {writable, anyKind},
-	LEA:     {regOnly, memOnly},
-	PUSH:    {anyKind, noOperand},
-	POP:     {writable, noOperand},
-	ADD:     {writable, anyKind},
-	SUB:     {writable, anyKind},
-	XOR:     {writable, anyKind},
-	AND:     {writable, anyKind},
-	OR:      {writable, anyKind},
-	SHL:     {writable, anyKind},
-	SHR:     {writable, anyKind},
-	INC:     {writable, noOperand},
-	DEC:     {writable, noOperand},
-	CMP:     {anyKind, anyKind},
-	TEST:    {anyKind, anyKind},
-	JMP:     {noOperand, noOperand},
-	JZ:      {noOperand, noOperand},
-	JNZ:     {noOperand, noOperand},
-	JL:      {noOperand, noOperand},
-	JGE:     {noOperand, noOperand},
-	CALL:    {noOperand, noOperand},
-	RET:     {noOperand, noOperand},
+	NOP:      {noOperand, noOperand},
+	MOV:      {writable, anyKind},
+	MOVB:     {writable, anyKind},
+	LEA:      {regOnly, memOnly},
+	PUSH:     {anyKind, noOperand},
+	POP:      {writable, noOperand},
+	ADD:      {writable, anyKind},
+	SUB:      {writable, anyKind},
+	XOR:      {writable, anyKind},
+	AND:      {writable, anyKind},
+	OR:       {writable, anyKind},
+	SHL:      {writable, anyKind},
+	SHR:      {writable, anyKind},
+	INC:      {writable, noOperand},
+	DEC:      {writable, noOperand},
+	CMP:      {anyKind, anyKind},
+	TEST:     {anyKind, anyKind},
+	JMP:      {noOperand, noOperand},
+	JZ:       {noOperand, noOperand},
+	JNZ:      {noOperand, noOperand},
+	JL:       {noOperand, noOperand},
+	JGE:      {noOperand, noOperand},
+	CALL:     {noOperand, noOperand},
+	RET:      {noOperand, noOperand},
 	CALLAPI:  {noOperand, noOperand},
 	CALLAPIR: {regOnly, noOperand},
 	HALT:     {noOperand, noOperand},

@@ -62,14 +62,14 @@ func TestDefUseGolden(t *testing.T) {
 			build: func(t *testing.T) *isa.Program {
 				b := isa.NewBuilder("join-use")
 				b.Cmp(isa.R(isa.EAX), isa.Imm(0)). // 0
-					Jz("else").                        // 1
-					Mov(isa.R(isa.EBX), isa.Imm(1)).   // 2
-					Jmp("join").                       // 3
-					Label("else").
-					Mov(isa.R(isa.EBX), isa.Imm(2)). // 4
-					Label("join").
-					Add(isa.R(isa.ECX), isa.R(isa.EBX)). // 5
-					Halt()                               // 6
+									Jz("else").                      // 1
+									Mov(isa.R(isa.EBX), isa.Imm(1)). // 2
+									Jmp("join").                     // 3
+									Label("else").
+									Mov(isa.R(isa.EBX), isa.Imm(2)). // 4
+									Label("join").
+									Add(isa.R(isa.ECX), isa.R(isa.EBX)). // 5
+									Halt()                               // 6
 				p, err := b.Build()
 				if err != nil {
 					t.Fatal(err)
@@ -156,10 +156,10 @@ func TestDefUseGolden(t *testing.T) {
 			build: func(t *testing.T) *isa.Program {
 				b := isa.NewBuilder("mem")
 				b.Buf("slot", 8)
-				b.Mov(isa.MemSym("slot"), isa.Imm(1)).   // 0: direct store
-					Mov(isa.Mem(isa.EDI, 0), isa.Imm(2)). // 1: aliasing store
-					Mov(isa.R(isa.EAX), isa.MemSym("slot")). // 2: load
-					Halt()                                   // 3
+				b.Mov(isa.MemSym("slot"), isa.Imm(1)). // 0: direct store
+									Mov(isa.Mem(isa.EDI, 0), isa.Imm(2)).    // 1: aliasing store
+									Mov(isa.R(isa.EAX), isa.MemSym("slot")). // 2: load
+									Halt()                                   // 3
 				p, err := b.Build()
 				if err != nil {
 					t.Fatal(err)
