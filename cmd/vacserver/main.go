@@ -1,6 +1,7 @@
 // Command vacserver is the fleet vaccine distribution server: it loads
-// vaccine packs produced by cmd/autovac into the sharded registry and
-// serves the HTTP sync protocol host agents poll (see internal/fleet).
+// vaccine packs produced by cmd/autovac into the registry's
+// version-ordered log and serves the HTTP sync protocol host agents
+// poll (see internal/fleet).
 //
 // Usage:
 //
@@ -13,10 +14,11 @@
 // Endpoints: GET /v1/packs?since=<version> (delta sync, ETag/304;
 // &wait=<dur> long-polls until the next publish), POST /v1/checkin
 // (host heartbeats), GET /v1/metrics (counters). With -state-dir the
-// registry is durable: publishes are fsynced to a write-ahead log,
-// snapshots compact it, and a restart replays the state so agents
-// resume from their cursors. SIGINT/SIGTERM drain in-flight requests
-// and print a final stats line before exit.
+// registry is durable: publishes are fsynced to a write-ahead log
+// before anything serves them, snapshots compact it, and a restart
+// replays the state so agents resume from their cursors.
+// SIGINT/SIGTERM drain in-flight requests and print a final stats line
+// before exit.
 //
 // With -upstream the server runs as an edge relay instead of an
 // origin: it long-polls the upstream vacserver for binary deltas,
@@ -66,7 +68,6 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8377", "listen address")
 		packs     = fs.String("pack", "", "comma-separated vaccine pack files (JSON) to publish")
-		shards    = fs.Int("shards", fleet.DefaultShards, "registry shard count")
 		generator = fs.String("generator", "autovac", "generator label echoed in sync responses")
 		stateDir  = fs.String("state-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
 		upstream  = fs.String("upstream", "", "run as an edge relay of this upstream vacserver URL")
@@ -78,12 +79,12 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 		if *packs != "" || *stateDir != "" {
 			return errors.New("-upstream (relay mode) is incompatible with -pack and -state-dir")
 		}
-		return runRelay(ctx, *addr, *upstream, *shards, out, onReady)
+		return runRelay(ctx, *addr, *upstream, out, onReady)
 	}
 
 	var reg *fleet.Registry
 	if *stateDir != "" {
-		r, err := fleet.OpenRegistry(*stateDir, *shards)
+		r, err := fleet.OpenRegistry(*stateDir, 0)
 		if err != nil {
 			return fmt.Errorf("opening state dir %s: %w", *stateDir, err)
 		}
@@ -93,7 +94,7 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 		fmt.Fprintf(out, "vacserver: recovered state from %s: snapshot v%d + %d WAL records over %d segments (version %d, %d truncated bytes)\n",
 			*stateDir, rec.SnapshotVersion, rec.Records, rec.Segments, reg.Latest(), rec.TruncatedBytes)
 	} else {
-		reg = fleet.NewRegistry(*shards)
+		reg = fleet.NewRegistry(0)
 	}
 	reg.SetGenerator(*generator)
 	for _, path := range splitList(*packs) {
@@ -127,13 +128,15 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 		snap.Requests, snap.DeltasServed, snap.NotModified, snap.Checkins,
 		snap.Errors, snap.BytesServed, snap.ActiveHosts, snap.Converged,
 		snap.P50Micros, snap.P99Micros)
-	return nil
+	// Seal the WAL here rather than only in the deferred Close (a no-op
+	// once this ran), so a failed final fsync fails the exit status.
+	return reg.Close()
 }
 
 // runRelay serves the relay mode: mirror the upstream, serve the sync
 // protocol downstream, drain on cancellation.
-func runRelay(ctx context.Context, addr, upstream string, shards int, out io.Writer, onReady func(addr string)) error {
-	rl, err := fleet.NewRelay(fleet.RelayConfig{Upstream: upstream, Shards: shards})
+func runRelay(ctx context.Context, addr, upstream string, out io.Writer, onReady func(addr string)) error {
+	rl, err := fleet.NewRelay(fleet.RelayConfig{Upstream: upstream})
 	if err != nil {
 		return err
 	}

@@ -64,6 +64,32 @@ func BenchmarkRegistryDeltaSync(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryDelta times Registry.Delta itself — a full and a
+// tail-2 delta of a benchRegistrySize registry. BenchmarkRegistryDeltaSync
+// cannot: after its first iteration the handler serves every request
+// from the encode cache, so it never reaches the store.
+func BenchmarkRegistryDelta(b *testing.B) {
+	reg := benchServer(b).Registry()
+	cases := []struct {
+		name  string
+		since uint64
+		want  int
+	}{
+		{"full", 0, benchRegistrySize},
+		{"tail2", reg.Latest() - 2, 2},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if d := reg.Delta(c.since); len(d.Vaccines) != c.want {
+					b.Fatalf("delta since %d carries %d vaccines, want %d", c.since, len(d.Vaccines), c.want)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCheckin measures POST /v1/checkin with many concurrent
 // hosts heartbeating, the fleet's background load at scale.
 func BenchmarkCheckin(b *testing.B) {

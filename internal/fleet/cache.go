@@ -10,7 +10,7 @@ import (
 // keyed by (since, version, encoding). The win is fan-out shaped: when
 // a publish wakes N parked long-pollers at the same cursor — the
 // steady state of both an origin under a converged fleet and an edge
-// relay under its downstream agents — the shard scan, digest, and
+// relay under its downstream agents — the log copy, digest, and
 // encode run once and N-1 requests are served the cached bytes.
 //
 // Correctness leans on the registry's version fence: a cached body for

@@ -78,7 +78,7 @@ type MetricsSnapshot struct {
 	// binary codec (Accept: application/x-autovac-delta).
 	BinaryDeltas uint64
 	// EncodeCacheHits counts pack responses served from the encoded
-	// delta cache instead of a fresh shard scan + encode.
+	// delta cache instead of a fresh delta copy + encode.
 	EncodeCacheHits uint64
 	// NotModified counts 304 responses on /v1/packs.
 	NotModified uint64

@@ -1,6 +1,6 @@
-// Package fleet is the vaccine distribution subsystem: a sharded
-// in-memory pack registry fronted by an HTTP/JSON sync protocol, and
-// the concurrent host agents that poll it. It closes the gap between
+// Package fleet is the vaccine distribution subsystem: a
+// version-ordered pack registry fronted by an HTTP/JSON sync protocol,
+// and the concurrent host agents that poll it. It closes the gap between
 // Phase-II vaccine generation and the paper's Phase-III assumption
 // (§V) that vaccines somehow reach every end host: an analysis site
 // publishes packs into a Registry served by cmd/vacserver, and a

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,10 +11,8 @@ import (
 	"autovac/internal/vaccine"
 )
 
-// DefaultShards is the registry shard count when NewRegistry is given
-// zero. 16 shards keep write contention negligible for corpus-sized
-// packs while the per-shard high-water version lets delta reads skip
-// untouched shards entirely.
+// DefaultShards is the host heartbeat table's shard count when
+// NewRegistry is given zero: every check-in writes the table.
 const DefaultShards = 16
 
 // regEntry is one published vaccine with its publish version.
@@ -21,15 +20,9 @@ type regEntry struct {
 	v       vaccine.Vaccine
 	fp      string // content fingerprint, for idempotent republish
 	version uint64
-}
-
-// regShard is one RWMutex-guarded slice of the vaccine space.
-type regShard struct {
-	mu   sync.RWMutex
-	byID map[string]regEntry
-	// version is the shard's high-water publish version: a delta read
-	// with since >= version skips the shard without touching byID.
-	version uint64
+	// next is the version that replaced this entry under its ID (0 while
+	// it is the newest): a delta cut at a fence below next serves it.
+	next uint64
 }
 
 // hostShard is one slice of the host heartbeat table.
@@ -47,32 +40,33 @@ type hostState struct {
 	lastSeen    time.Time
 }
 
-// Registry is the server-side vaccine store: vaccines land in shards
-// keyed by FNV-1a of their ID, every accepted publish gets the next
-// value of a single monotonic version counter, and host heartbeats are
-// tracked in a separately sharded table. All methods are safe for
-// concurrent use.
-//
-// A registry is in-memory by default; OpenRegistry (wal.go) attaches a
-// write-ahead log and snapshot so publishes survive process restart
-// with the monotonic version history intact.
+// Registry is the server-side vaccine store: one log of published
+// vaccines in ascending version order, where every accepted publish
+// gets the next monotonic version, plus a sharded host heartbeat table.
+// Readers see the log up to the fence, the highest version whose batch
+// is stored and, for a persistent registry (OpenRegistry, wal.go),
+// fsynced. All methods are safe for concurrent use.
 type Registry struct {
-	shards    []regShard
+	// mu guards log, newest and last. Publish holds it to number, store
+	// and log a batch, so WAL segments hold versions in order; readers
+	// hold it shared.
+	mu     sync.RWMutex
+	log    []regEntry        // ascending version order
+	newest map[string]uint64 // vaccine ID -> version of its newest entry
+	last   uint64            // highest version assigned or applied
+	// fence is the highest version readers see. Publish raises it only
+	// after its batch's WAL fsync; applyRecords sets it under mu.
+	fence atomic.Uint64
+
 	hostTab   []hostShard
-	version   atomic.Uint64
 	generator atomic.Pointer[string]
 
 	// notify is the publish broadcaster: long-poll sync requests park
 	// on it and wake the instant a publish lands (see notify.go).
 	notify *notifier
 
-	// publishMu serialises version assignment: a publish stores its
-	// whole batch, then makes the batch's versions visible at once.
-	publishMu sync.Mutex
-
-	// wal, when non-nil, is the durability layer: Publish appends each
-	// accepted vaccine to it and returns only once the records are
-	// fsynced (see wal.go). recovery summarises the boot-time replay.
+	// wal, when non-nil, is the durability layer (see wal.go); recovery
+	// summarises the boot-time replay.
 	wal      *wal
 	recovery RecoveryStats
 
@@ -92,9 +86,9 @@ type Registry struct {
 	analysisSet bool
 }
 
-// NewRegistry creates a registry with the given shard count (0 means
-// DefaultShards). The count is rounded up to a power of two so shard
-// selection is a mask, not a modulo.
+// NewRegistry creates an in-memory registry whose host heartbeat table
+// has the given shard count (0 means DefaultShards), rounded up to a
+// power of two so shard selection is a mask, not a modulo.
 func NewRegistry(shards int) *Registry {
 	if shards <= 0 {
 		shards = DefaultShards
@@ -104,12 +98,11 @@ func NewRegistry(shards int) *Registry {
 		n <<= 1
 	}
 	r := &Registry{
-		shards:  make([]regShard, n),
+		newest:  make(map[string]uint64),
 		hostTab: make([]hostShard, n),
 		notify:  newNotifier(),
 	}
-	for i := range r.shards {
-		r.shards[i].byID = make(map[string]regEntry)
+	for i := range r.hostTab {
 		r.hostTab[i].hosts = make(map[string]hostState)
 	}
 	g := ""
@@ -117,7 +110,7 @@ func NewRegistry(shards int) *Registry {
 	return r
 }
 
-// fnv32a is the FNV-1a hash the registry shards on.
+// fnv32a is the FNV-1a hash the heartbeat table shards on.
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -125,10 +118,6 @@ func fnv32a(s string) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-func (r *Registry) shardFor(id string) *regShard {
-	return &r.shards[fnv32a(id)&uint32(len(r.shards)-1)]
 }
 
 func (r *Registry) hostShardFor(host string) *hostShard {
@@ -160,6 +149,51 @@ func (r *Registry) Analysis() (vaccine.AnalysisStats, bool) {
 	return r.analysis, r.analysisSet
 }
 
+// after returns the index of the first log entry above version v.
+// Callers hold mu.
+func (r *Registry) after(v uint64) int {
+	return sort.Search(len(r.log), func(i int) bool { return r.log[i].version > v })
+}
+
+// at returns the log entry holding version v. Callers hold mu.
+func (r *Registry) at(v uint64) *regEntry { return &r.log[r.after(v-1)] }
+
+// store files e as its ID's newest entry, in version order, and marks
+// the entry it replaces. Callers hold mu.
+func (r *Registry) store(e regEntry) {
+	if prev, ok := r.newest[e.v.ID]; ok {
+		r.at(prev).next = e.version
+	}
+	r.newest[e.v.ID] = e.version
+	if e.version > r.last {
+		r.log = append(r.log, e)
+		r.last = e.version
+		return
+	}
+	// Replayed out of order (segments written by an older release).
+	r.log = slices.Insert(r.log, r.after(e.version), e)
+}
+
+// prune drops entries replaced at or below the fence, which no delta
+// serves again, once they make up half the log: memory follows the live
+// pack, not its publish history. Callers hold mu exclusively.
+func (r *Registry) prune() {
+	if len(r.log) > 2*len(r.newest) {
+		fence := r.fence.Load()
+		r.log = slices.DeleteFunc(r.log, func(e regEntry) bool { return e.next != 0 && e.next <= fence })
+	}
+}
+
+// raise lifts the fence to v, making every version up to v visible.
+func (r *Registry) raise(v uint64) {
+	for {
+		cur := r.fence.Load()
+		if v <= cur || r.fence.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // Publish validates and stores a batch of vaccines, assigning each
 // accepted vaccine the next monotonic version. Republishing a vaccine
 // whose content is unchanged is a no-op (no version bump), so
@@ -172,11 +206,10 @@ func (r *Registry) Analysis() (vaccine.AnalysisStats, bool) {
 // addition to record validation every vaccine must pass the static
 // slice verifier (VerifyReplayable): a vaccine whose replay slice
 // could loop, fault, or touch host resources is refused.
-// When the registry is persistent (OpenRegistry), every stored vaccine
-// is appended to the write-ahead log and Publish returns only after the
-// records are fsynced; concurrent publishers share one fsync (group
-// commit). Long-poll waiters are woken only after durability, so no
-// agent can observe a version that a crash could take back.
+// With a write-ahead log (OpenRegistry) the batch becomes visible only
+// once fsynced, concurrent publishers sharing one fsync; a failed
+// append or fsync is sticky, so this publish and every later one fail
+// and the registry keeps serving its last durable state.
 func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
 	// Validate up to the first bad vaccine; the ones before it are
 	// still published.
@@ -193,149 +226,95 @@ func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
 		}
 		fps = append(fps, vs[i].Fingerprint())
 	}
-	// The counter moves once, after the whole batch is stored, so a
-	// concurrent Delta or parked poll never sees a version whose batch
-	// is half stored.
-	stored := 0
-	var batch []walRecord
-	r.publishMu.Lock()
-	ver := r.version.Load()
+	r.mu.Lock()
+	if err := r.wal.failure(); err != nil {
+		r.mu.Unlock()
+		return r.Latest(), 0, fmt.Errorf("fleet: wal: %w", err)
+	}
+	start := len(r.log)
 	for i, fp := range fps {
-		v := vs[i]
-		s := r.shardFor(v.ID)
-		s.mu.Lock()
-		if prev, ok := s.byID[v.ID]; ok && prev.fp == fp {
-			s.mu.Unlock()
+		if prev, ok := r.newest[vs[i].ID]; ok && r.at(prev).fp == fp {
 			continue
 		}
-		ver++
-		s.byID[v.ID] = regEntry{v: v, fp: fp, version: ver}
-		s.version = ver
-		s.mu.Unlock()
-		stored++
-		if r.wal != nil {
-			batch = append(batch, walRecord{Version: ver, Vaccine: v})
-		}
+		r.store(regEntry{v: vs[i], fp: fp, version: r.last + 1})
 	}
-	r.version.Store(ver)
-	r.publishMu.Unlock()
-	// Vaccines stored before a mid-batch rejection must still reach
-	// the log and the waiters: the error reports the bad vaccine, not
-	// a rollback.
-	if len(batch) > 0 {
-		if err := r.logBatch(batch); err != nil && pubErr == nil {
+	top, stored := r.last, len(r.log)-start
+	var gen uint64
+	var due bool
+	var err error
+	if r.wal != nil && stored > 0 {
+		gen, due, err = r.wal.append(r.log[start:], r.CompactEvery)
+	}
+	r.prune()
+	r.mu.Unlock()
+	if gen > 0 {
+		err = r.wal.sync(gen)
+	}
+	if err != nil {
+		return r.Latest(), 0, fmt.Errorf("fleet: wal: %w", err)
+	}
+	// Vaccines stored before a mid-batch rejection are still published:
+	// the error reports the bad vaccine, not a rollback.
+	if stored > 0 {
+		r.raise(top)
+		r.notify.wake()
+	}
+	if due {
+		if err := r.Compact(); err != nil && pubErr == nil {
 			pubErr = err
 		}
 	}
-	if stored > 0 {
-		r.notify.wake()
-	}
-	return r.version.Load(), stored, pubErr
+	return r.Latest(), stored, pubErr
 }
 
-// Latest returns the registry's latest publish version.
-func (r *Registry) Latest() uint64 { return r.version.Load() }
+// Latest returns the registry's latest visible version: the fence.
+func (r *Registry) Latest() uint64 { return r.fence.Load() }
 
-// ratchetVersion lifts the version counter to at least v without
-// publishing anything. Relays use it to adopt an upstream fence that
-// ran ahead of the highest record version (no-op republishes advance
-// the origin counter without new content).
-func (r *Registry) ratchetVersion(v uint64) {
-	for {
-		cur := r.version.Load()
-		if v <= cur || r.version.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// resetMirror drops every stored vaccine and rewinds the version
-// counter to zero. Only relays call it — when the upstream's version
-// line restarted below the mirror's, the mirror must rebase the same
-// way an agent does, and its own downstream agents then hit the
-// since-ahead-of-registry path and receive Reset deltas in turn.
-// Concurrent delta reads during the wipe see a transient partial or
-// empty registry; their clients converge on the next poll once the
-// upstream's content is re-applied.
-func (r *Registry) resetMirror() {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		clear(s.byID)
-		s.version = 0
-		s.mu.Unlock()
-	}
-	r.version.Store(0)
-}
-
-// Count returns the number of distinct vaccines stored.
+// Count returns the number of distinct vaccines visible at the fence.
 func (r *Registry) Count() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fence := r.fence.Load()
 	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.byID)
-		s.mu.RUnlock()
+	for _, e := range r.log[:r.after(fence)] {
+		if e.next == 0 || e.next > fence {
+			n++
+		}
 	}
 	return n
 }
-
-// deltaScanHook, when set, runs after Delta's shard scan and before
-// the response is assembled. The regression test for the torn version
-// fence uses it to publish mid-read at the exact point where the old
-// code (which loaded the version counter *after* the scan) produced a
-// Version covering vaccines the body omitted.
-var deltaScanHook func()
 
 // Delta returns every vaccine published after the given version,
 // ordered by ascending version, with the pack digest the server uses
 // as the sync ETag. since=0 yields the complete registry content.
 //
-// Consistency: the version fence is captured BEFORE the shard scan and
-// the response contains exactly the vaccines whose latest version lies
-// in (since, fence]. Capturing the fence after the scan instead was the
-// delta-sync lost-update race: a publish landing in an already-scanned
-// shard mid-read advanced the reported Version past a vaccine the body
-// did not contain, so agents adopted that Version and never fetched the
-// vaccine. With the fence first, a mid-scan publish is assigned a
-// version above the fence and is excluded from both the body and the
-// Version — the next poll picks it up. (An entry replaced mid-scan to a
-// version above the fence drops out of this delta entirely; its
-// replacement, being newer than the reported Version, is fetched next
-// poll, so convergence to the latest content is never lost.)
+// Consistency: under one read lock it reads the fence and copies the
+// entries in (since, fence] that were still their ID's newest at the
+// fence. Every version up to the fence is stored before the fence moves
+// past it, so the claimed Version covers nothing the body lacks; a
+// publish still in flight lies above the fence and is fetched next poll.
 func (r *Registry) Delta(since uint64) *DeltaResponse {
-	fence := r.version.Load()
-	var entries []regEntry
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		if s.version > since {
-			for _, e := range s.byID {
-				if e.version > since && e.version <= fence {
-					entries = append(entries, e)
-				}
-			}
-		}
-		s.mu.RUnlock()
-	}
-	if deltaScanHook != nil {
-		deltaScanHook()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].version < entries[j].version })
+	r.mu.RLock()
+	fence := r.fence.Load()
+	lo, hi := r.after(since), r.after(fence)
+	n := max(hi-lo, 0) // an upper bound: replaced entries are skipped
 	d := &DeltaResponse{
 		Since:     since,
 		Version:   fence,
 		Complete:  since == 0,
 		Generator: r.Generator(),
-		Vaccines:  make([]vaccine.Vaccine, len(entries)),
-		Versions:  make([]uint64, len(entries)),
+		Vaccines:  make([]vaccine.Vaccine, 0, n),
+		Versions:  make([]uint64, 0, n),
 	}
-	fps := make([]string, len(entries))
-	for i := range entries {
-		d.Vaccines[i] = entries[i].v
-		d.Versions[i] = entries[i].version
-		fps[i] = entries[i].fp
+	fps := make([]string, 0, n)
+	for i := lo; i < hi; i++ {
+		if e := &r.log[i]; e.next == 0 || e.next > fence {
+			d.Vaccines = append(d.Vaccines, e.v)
+			d.Versions = append(d.Versions, e.version)
+			fps = append(fps, e.fp)
+		}
 	}
+	r.mu.RUnlock()
 	// The fingerprints were computed at publish time; digesting them
 	// directly skips one JSON marshal + SHA-256 per vaccine per delta,
 	// which the long-poll thundering herd (every parked agent fetching
@@ -357,7 +336,7 @@ func (r *Registry) Checkin(req CheckinRequest, now time.Time) CheckinResponse {
 		lastSeen:    now,
 	}
 	s.mu.Unlock()
-	return CheckinResponse{Version: r.version.Load()}
+	return CheckinResponse{Version: r.Latest()}
 }
 
 // FleetStatus summarises the host heartbeat table.
@@ -381,7 +360,7 @@ type FleetStatus struct {
 // Fleet reports heartbeat aggregates over hosts seen within the
 // window ending at now.
 func (r *Registry) Fleet(window time.Duration, now time.Time) FleetStatus {
-	latest := r.version.Load()
+	latest := r.Latest()
 	var st FleetStatus
 	seen := false
 	cutoff := now.Add(-window)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -237,53 +238,32 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	}
 }
 
-// TestDeltaVersionFenceRegression deterministically trips the delta
-// lost-update race: deltaScanHook publishes a vaccine between Delta's
-// shard scan and its response assembly. The old code loaded the version
-// counter *after* the scan, so the response claimed Version 9 while the
-// body held 8 vaccines — an agent adopting that Version never fetched
-// the ninth. The fence-first code excludes the mid-scan publish from
-// both the Version and the body.
-func TestDeltaVersionFenceRegression(t *testing.T) {
-	r := NewRegistry(4)
-	if _, _, err := r.Publish(testVaccines("fence", 8)...); err != nil {
-		t.Fatal(err)
-	}
-	var once sync.Once
-	deltaScanHook = func() {
-		once.Do(func() {
-			if _, _, err := r.Publish(staticVaccine("fence/late/0", "FENCE-LATE-0001")); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	defer func() { deltaScanHook = nil }()
-
-	d := r.Delta(0)
-	if len(d.Vaccines) != int(d.Version) {
-		t.Fatalf("torn delta: Version %d but %d vaccines — an agent adopting this Version would never fetch the gap",
-			d.Version, len(d.Vaccines))
-	}
-	if d.Version != 8 {
-		t.Fatalf("fence = %d, want 8 (mid-scan publish must be excluded)", d.Version)
-	}
-	// The excluded publish is not lost: the next poll picks it up.
-	next := r.Delta(d.Version)
-	if len(next.Vaccines) != 1 || next.Vaccines[0].ID != "fence/late/0" {
-		t.Fatalf("follow-up delta missed the mid-scan publish: %+v", next.Vaccines)
-	}
+// TestDeltaConcurrentPublishLinearizability races publishers of
+// distinct-ID vaccines against delta readers that chase the version
+// line the way agents do: each reader asks for the delta since its
+// cursor and advances the cursor to the Version it gets. Two invariants
+// hold on every read and at the end. With distinct IDs the version
+// stream is dense, so a delta since s with Version v carries exactly
+// v-s vaccines — a body shorter than the range it claims is a torn
+// fence, and an agent adopting that Version would never fetch the gap.
+// And once the publishers stop, every reader has collected each
+// published vaccine exactly once: a publish still in flight at one
+// read is fetched by a later one, never skipped. The WAL case adds the
+// fsync before the fence moves, and compactions between the reads. Run
+// under -race.
+func TestDeltaConcurrentPublishLinearizability(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { checkLinearizable(t, NewRegistry(0)) })
+	t.Run("wal", func(t *testing.T) {
+		r := openTestRegistry(t, t.TempDir())
+		defer r.Close()
+		r.CompactEvery = 64
+		checkLinearizable(t, r)
+	})
 }
 
-// TestDeltaConcurrentPublishLinearizability races publishers of
-// distinct-ID vaccines against delta readers and asserts the
-// linearizability invariant on every read: with distinct IDs the
-// version stream is dense, so a delta since s with Version v must carry
-// exactly v-s vaccines — one per version in (s, v]. A torn fence shows
-// up as a body shorter than the version range it claims. Run under
-// -race.
-func TestDeltaConcurrentPublishLinearizability(t *testing.T) {
+func checkLinearizable(t *testing.T, r *Registry) {
 	const publishers, perWorker, readers = 8, 40, 8
-	r := NewRegistry(0)
+	const total = publishers * perWorker
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for p := 0; p < publishers; p++ {
@@ -301,37 +281,101 @@ func TestDeltaConcurrentPublishLinearizability(t *testing.T) {
 			}
 		}(p)
 	}
+	collected := make([]map[string]int, readers)
+	var rwg sync.WaitGroup
 	for g := 0; g < readers; g++ {
-		wg.Add(1)
+		rwg.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			since := uint64(g)
+			defer rwg.Done()
+			seen := make(map[string]int)
+			collected[g] = seen
+			var since uint64
+			read := func() bool {
+				d := r.Delta(since)
+				if len(d.Vaccines) != int(d.Version-since) {
+					t.Errorf("reader %d: delta since %d claims Version %d but carries %d vaccines",
+						g, since, d.Version, len(d.Vaccines))
+					return false
+				}
+				for _, v := range d.Vaccines {
+					seen[v.ID]++
+				}
+				since = d.Version
+				return true
+			}
 			for {
 				select {
 				case <-stop:
+					// The publishers are done: one last read collects the tail.
+					read()
 					return
 				default:
 				}
-				d := r.Delta(since)
-				if d.Version >= since && len(d.Vaccines) != int(d.Version-since) {
-					t.Errorf("reader %d: delta since %d claims Version %d but carries %d vaccines",
-						g, since, d.Version, len(d.Vaccines))
+				if !read() {
 					return
 				}
+				runtime.Gosched()
 			}
 		}(g)
 	}
-	// Publishers finish first; then release the readers.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		wg.Wait()
-	}()
-	for r.Latest() < publishers*perWorker {
-		time.Sleep(time.Millisecond)
-	}
+	wg.Wait()
 	close(stop)
-	<-done
+	rwg.Wait()
+	if r.Latest() != total {
+		t.Fatalf("final version %d, want %d", r.Latest(), total)
+	}
+	for g, seen := range collected {
+		if len(seen) != total {
+			t.Errorf("reader %d collected %d distinct vaccines, want %d", g, len(seen), total)
+		}
+		for id, n := range seen {
+			if n != 1 {
+				t.Errorf("reader %d collected %s %d times, want once", g, id, n)
+			}
+		}
+	}
+}
+
+// TestReplacedVaccineServedUntilReplacementVisible pins the log's
+// replacement rule: an entry replaced by a publish still in flight
+// (stored, but above the fence) keeps being served at its old version,
+// and replaced entries are dropped once the fence passes their
+// replacement, so the log stays proportional to the live pack however
+// often a vaccine changes.
+func TestReplacedVaccineServedUntilReplacementVisible(t *testing.T) {
+	r := NewRegistry(0)
+	vs := testVaccines("repl", 4)
+	if _, _, err := r.Publish(vs...); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Delta(0)
+	// Store a replacement without raising the fence, as a publish does
+	// between storing its batch and its WAL fsync.
+	vs[1].Identifier = "repl-IN-FLIGHT"
+	r.mu.Lock()
+	r.store(regEntry{v: vs[1], fp: vs[1].Fingerprint(), version: r.last + 1})
+	r.mu.Unlock()
+	if r.Delta(0).ETag != before.ETag || r.Count() != 4 {
+		t.Fatal("a replacement above the fence changed what readers see")
+	}
+	r.raise(5)
+	if d := r.Delta(4); len(d.Vaccines) != 1 || d.Vaccines[0].Identifier != "repl-IN-FLIGHT" || r.Count() != 4 {
+		t.Fatalf("visible replacement: delta %+v, count %d", d.Vaccines, r.Count())
+	}
+	for i := 0; i < 100; i++ {
+		vs[0].Identifier = fmt.Sprintf("repl-CHANGED-%03d", i)
+		if _, _, err := r.Publish(vs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(r.log) > 2*len(r.newest)+1 {
+		t.Fatalf("log holds %d entries for %d vaccines: replaced entries are never dropped", len(r.log), len(r.newest))
+	}
+	d := r.Delta(0)
+	if len(d.Vaccines) != 4 || d.Version != 105 || d.Vaccines[3].Identifier != "repl-CHANGED-099" {
+		t.Fatalf("full delta after 100 replacements: Version %d, %d vaccines, last %q",
+			d.Version, len(d.Vaccines), d.Vaccines[len(d.Vaccines)-1].Identifier)
+	}
 }
 
 // TestFleetMinVersionIncludesZero pins the MinVersion sentinel fix: a
@@ -367,10 +411,12 @@ func TestFleetMinVersionIncludesZero(t *testing.T) {
 	}
 }
 
+// TestShardRoundingAndSkip pins the heartbeat table's power-of-two
+// rounding and the empty delta at the tip.
 func TestShardRoundingAndSkip(t *testing.T) {
 	r := NewRegistry(5) // rounds up to 8
-	if len(r.shards) != 8 {
-		t.Fatalf("shard count %d, want 8", len(r.shards))
+	if len(r.hostTab) != 8 {
+		t.Fatalf("heartbeat shard count %d, want 8", len(r.hostTab))
 	}
 	r.Publish(testVaccines("s", 16)...)
 	// A since at the latest version returns an empty delta.

@@ -21,20 +21,21 @@ import (
 //
 // Version mirroring is exact, not re-issued: the binary delta codec
 // carries each vaccine's origin publish version (DeltaResponse.Versions)
-// and the relay applies them verbatim via the WAL replay path
-// (applyRecord), then ratchets its counter to the upstream fence. A
-// cursor an agent obtained from one relay therefore means the same
-// thing at every other relay and at the origin. The binary codec is
+// and the relay applies them verbatim, with the upstream fence, through
+// the WAL replay path (applyRecords). A cursor an agent obtained from
+// one relay therefore means the same thing at every other relay and at
+// the origin. The binary codec is
 // required upstream for this reason — JSON deltas do not carry the
 // version line — so a relay pointed at a pre-codec server fails fast
 // rather than mirroring wrongly.
 //
 // Reset propagation: when the upstream's version line restarts below
 // the relay's cursor (origin restarted without its WAL), the upstream
-// answers with a Reset delta; the relay wipes its mirror, re-applies
-// the upstream content, and its own downstream agents — now ahead of
-// the rewound mirror — hit the since-ahead-of-registry path on their
-// next poll and receive Reset deltas in turn. The rebase cascades down
+// answers with a Reset delta; the relay wipes its mirror and re-applies
+// the upstream content in one critical section, and its own downstream
+// agents — now ahead of the rewound mirror — hit the
+// since-ahead-of-registry path on their next poll and receive Reset
+// deltas in turn. The rebase cascades down
 // the tree with no side channel.
 type Relay struct {
 	cfg  RelayConfig
@@ -54,8 +55,6 @@ type RelayConfig struct {
 	// LongPoll is how long each upstream fetch parks (&wait=); default
 	// MaxLongPollWait. The upstream caps it at its own MaxLongPollWait.
 	LongPoll time.Duration
-	// Shards is the mirror registry's shard count (0 = DefaultShards).
-	Shards int
 	// Seed feeds the backoff jitter.
 	Seed uint64
 }
@@ -85,7 +84,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		cfg.LongPoll = MaxLongPollWait
 	}
 	cfg.Upstream = strings.TrimRight(cfg.Upstream, "/")
-	reg := NewRegistry(cfg.Shards)
+	reg := NewRegistry(0)
 	rl := &Relay{cfg: cfg, reg: reg, srv: NewServer(reg)}
 	rl.sync = newSyncClient(cfg.Client, cfg.Upstream, cfg.LongPoll, true,
 		int64(cfg.Seed)^int64(fnv32a(cfg.Upstream)), rl.mirror)
@@ -127,9 +126,8 @@ func (rl *Relay) SyncOnce(ctx context.Context) (int, error) {
 }
 
 // mirror is the relay's apply: it mirrors one upstream delta into the
-// local registry and wakes the downstream long-pollers parked on it.
-// The counter moves once, after every record is stored, so a
-// downstream read never sees a version whose records are half applied.
+// local registry in one critical section, so a downstream read never
+// sees it half applied, and wakes the downstream long-pollers.
 func (rl *Relay) mirror(d *DeltaResponse) (int, error) {
 	if len(d.Versions) != len(d.Vaccines) {
 		// Only the binary codec carries the per-vaccine version line; a
@@ -139,16 +137,15 @@ func (rl *Relay) mirror(d *DeltaResponse) (int, error) {
 		return 0, fmt.Errorf("delta carries %d versions for %d vaccines: the upstream does not speak the binary delta codec",
 			len(d.Versions), len(d.Vaccines))
 	}
-	if d.Reset {
-		// Upstream's version line restarted below ours: rebase the
-		// mirror. Downstream agents, now ahead of it, get Reset deltas
-		// from our own server on their next poll.
-		rl.reg.resetMirror()
+	recs := make([]walRecord, len(d.Vaccines))
+	for i, v := range d.Versions {
+		// Delta emits an ascending line within (Since, Version].
+		if v <= d.Since || v > d.Version || i > 0 && v <= d.Versions[i-1] {
+			return 0, fmt.Errorf("delta version line is not ascending within (%d, %d]", d.Since, d.Version)
+		}
+		recs[i] = walRecord{Version: v, Vaccine: d.Vaccines[i]}
 	}
-	for i := range d.Vaccines {
-		rl.reg.applyRecord(walRecord{Version: d.Versions[i], Vaccine: d.Vaccines[i]})
-	}
-	rl.reg.ratchetVersion(d.Version)
+	rl.reg.applyRecords(recs, d.Version, d.Reset)
 	rl.reg.SetGenerator(d.Generator)
 	rl.reg.notify.wake()
 	return len(d.Vaccines), nil

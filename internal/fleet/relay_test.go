@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,6 +219,61 @@ func TestRelayResetPropagation(t *testing.T) {
 	}
 }
 
+// TestRelayResetNeverServesEmptyMirror rebases the relay through a run
+// of upstream restarts while readers poll the mirror's full delta:
+// each Reset must swap the mirror's content in one step, so no reader
+// ever sees Version 0, an empty body, or a body short of the Version it
+// claims while the upstream holds content.
+func TestRelayResetNeverServesEmptyMirror(t *testing.T) {
+	const first, resets = 40, 20
+	h := newRelayHarness(t)
+	ctx := context.Background()
+	h.origin.Registry().Publish(testVaccines("reset40", first)...)
+	if _, err := h.relay.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if d := h.relay.Registry().Delta(0); d.Version == 0 || len(d.Vaccines) != int(d.Version) {
+					t.Errorf("reader %d: mirror served Version %d with %d vaccines mid-reset",
+						g, d.Version, len(d.Vaccines))
+					return
+				}
+				runtime.Gosched()
+			}
+		}(g)
+	}
+	// Each restarted origin holds one vaccine fewer than the mirror's
+	// cursor, so every sync is a Reset.
+	for n := first - 1; n >= first-resets; n-- {
+		fresh := NewServer(NewRegistry(0))
+		fresh.Registry().SetGenerator("relay-test")
+		fresh.Registry().Publish(testVaccines(fmt.Sprintf("reset%d", n), n)...)
+		h.swapOrigin(fresh)
+		if _, err := h.relay.SyncOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := h.relay.Stats(); st.Resyncs != resets {
+		t.Fatalf("relay resyncs %d, want %d", st.Resyncs, resets)
+	}
+	assertMirrored(t, h.origin.Registry(), h.relay)
+}
+
 // TestRelayCacheInvalidationOnVersionBump pins the relay's encode
 // cache across upstream version bumps: repeated downstream fetches at
 // one cursor are cache hits, and a mirrored publish must invalidate
@@ -287,6 +344,36 @@ func TestRelayRefusesJSONUpstream(t *testing.T) {
 	}
 	if _, err := rl.SyncOnce(context.Background()); err == nil {
 		t.Fatal("relay accepted a JSON upstream")
+	}
+	if rl.Version() != 0 || rl.Registry().Count() != 0 {
+		t.Fatal("refused delta still mutated the mirror")
+	}
+}
+
+// TestRelayRefusesDisorderedVersionLine feeds the relay a binary delta
+// whose version line is not the ascending run within (Since, Version]
+// that Delta produces: the mirror keeps its log in version order, so
+// the delta must be refused and leave the mirror untouched.
+func TestRelayRefusesDisorderedVersionLine(t *testing.T) {
+	reg := NewRegistry(0)
+	reg.Publish(testVaccines("order", 2)...)
+	d := reg.Delta(0)
+	d.Versions = []uint64{2, 1}
+	body, err := EncodeDeltaBinary(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", ContentTypeDelta)
+		w.Write(body)
+	}))
+	defer upstream.Close()
+	rl, err := NewRelay(RelayConfig{Upstream: upstream.URL, LongPoll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rl.SyncOnce(context.Background()); err == nil {
+		t.Fatal("relay mirrored a descending version line")
 	}
 	if rl.Version() != 0 || rl.Registry().Count() != 0 {
 		t.Fatal("refused delta still mutated the mirror")

@@ -32,7 +32,7 @@ type Server struct {
 	mux     *http.ServeMux
 	// cache memoises encoded delta bodies per (since, version,
 	// encoding), so a publish waking N parked long-pollers at the same
-	// cursor costs one shard scan and one encode, not N.
+	// cursor costs one delta copy and one encode, not N.
 	cache *deltaCache
 	// ActiveWindow is the heartbeat freshness window for fleet
 	// status; set before serving (default DefaultActiveWindow).
@@ -179,7 +179,7 @@ func (s *Server) handlePacks(w http.ResponseWriter, r *http.Request) {
 	}
 	if since == latest && (latest > 0 || wait > 0) {
 		// Nothing published past the client's version: cheap 304
-		// without scanning the shards. The ETag is the digest of the
+		// without reading the log. The ETag is the digest of the
 		// empty delta this request would otherwise carry — the same
 		// vocabulary as full responses, so intermediary caches see one
 		// validator form for the resource. (A since=0 plain poll of an

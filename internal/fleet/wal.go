@@ -35,11 +35,14 @@ import (
 // is wrong — a torn tail from a crash mid-append — and truncates the
 // file there, so the registry reboots to exactly its durable prefix.
 //
-// Publish appends records and fsyncs before returning (group commit:
-// concurrent publishers share one fsync). Compaction rotates to a
-// fresh segment, snapshots the full in-memory state, and deletes the
-// older segments; replay is idempotent (records apply by max version),
-// so a crash anywhere in that sequence recovers cleanly.
+// Publish appends its batch under the registry lock, so segments hold
+// versions in order, and makes it visible only after the fsync (group
+// commit: concurrent publishers share one fsync). An append, fsync or
+// rotation error is sticky: the log refuses every later append, so the
+// registry keeps serving exactly its last durable state. Compaction
+// rotates to a fresh segment, snapshots the log, and deletes the older
+// segments; replay is idempotent (records apply by max version), so a
+// crash anywhere in that sequence recovers cleanly.
 
 const (
 	// DefaultCompactEvery is how many WAL records accumulate before
@@ -53,17 +56,17 @@ const (
 )
 
 // walRecord is one durable publish: a vaccine with its assigned
-// version. Records are self-describing, so replay order within a
-// segment batch does not matter.
+// version. Records are self-describing, so replay does not depend on
+// their order.
 type walRecord struct {
 	Version uint64
 	Vaccine vaccine.Vaccine
 }
 
-// snapshotState is the snapshot file's JSON shape: the full registry
-// content with per-entry versions, plus the version counter at capture
-// time (which may run ahead of the highest entry after no-op or
-// superseded publishes).
+// snapshotState is the snapshot file's JSON shape: each vaccine's
+// newest entry with its version, plus the registry's version at
+// capture time (replay lifts the fence to it even where it runs ahead
+// of the highest entry).
 type snapshotState struct {
 	Version   uint64
 	Generator string
@@ -83,17 +86,24 @@ type RecoveryStats struct {
 	TruncatedBytes int64
 }
 
-// wal is the append side of the log. Lock order: syncMu before mu
-// (rotate and sync both honour it).
+// errClosed refuses publishes to a closed persistent registry.
+var errClosed = errors.New("registry closed")
+
+// wal is the append side of the log. Appends run under the registry's
+// write lock; rotate and close run under its read lock, which excludes
+// them. Lock order: compactMu, registry mu, syncMu, mu.
 type wal struct {
 	dir string
 
-	// mu serialises appends and rotation of the active segment.
+	// mu guards the active segment, the counters and err.
 	mu      sync.Mutex
 	f       *os.File
 	bw      *bufio.Writer
 	seq     int
 	records int // records since the last snapshot (pre-seeded at boot)
+	// err is sticky: the first failed append, fsync or rotation, or
+	// errClosed once the log is sealed. Every later append returns it.
+	err error
 
 	// writeGen counts completed append batches; syncGen is the highest
 	// generation known fsynced. syncMu serialises fsyncs so concurrent
@@ -112,28 +122,49 @@ func openSegment(dir string, seq int) (*os.File, error) {
 	return os.OpenFile(segmentPath(dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// append writes one batch of frames to the active segment and flushes
-// them to the OS, returning the write generation to pass to sync.
-func (w *wal) append(recs []walRecord) (uint64, error) {
+// failure returns the sticky error that refuses appends: nil for a
+// healthy log and for an in-memory registry (nil w).
+func (w *wal) failure() error {
+	if w == nil {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := range recs {
-		if err := writeFrame(w.bw, &recs[i]); err != nil {
-			return 0, err
+	return w.err
+}
+
+// append writes one batch of frames to the active segment and flushes
+// them to the OS. It returns the write generation to pass to sync, and
+// whether compactEvery records (0 means DefaultCompactEvery) have
+// accumulated since the last snapshot.
+func (w *wal) append(batch []regEntry, compactEvery int) (uint64, bool, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return 0, false, w.err
+	}
+	for i := range batch {
+		rec := walRecord{Version: batch[i].version, Vaccine: batch[i].v}
+		if w.err = writeFrame(w.bw, &rec); w.err != nil {
+			return 0, false, w.err
 		}
 	}
-	if err := w.bw.Flush(); err != nil {
-		return 0, err
+	if w.err = w.bw.Flush(); w.err != nil {
+		return 0, false, w.err
 	}
-	w.records += len(recs)
+	if compactEvery <= 0 {
+		compactEvery = DefaultCompactEvery
+	}
+	w.records += len(batch)
 	w.writeGen++
-	return w.writeGen, nil
+	return w.writeGen, w.records >= compactEvery, nil
 }
 
 // sync makes every append up to gen durable. The first caller in
 // fsyncs the file once for every batch already flushed; publishers
 // that arrive while it runs find their generation covered and return
-// without touching the disk — fsync batching.
+// without touching the disk — fsync batching. A failed fsync is
+// sticky, so no later fsync can claim the batches it lost.
 func (w *wal) sync(gen uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -141,61 +172,83 @@ func (w *wal) sync(gen uint64) error {
 		return nil
 	}
 	w.mu.Lock()
-	covered := w.writeGen
-	f := w.f
+	covered, f, err := w.writeGen, w.f, w.err
 	w.mu.Unlock()
-	if err := f.Sync(); err != nil {
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			w.mu.Lock()
+			w.err = err
+			w.mu.Unlock()
+		}
+	}
+	if err != nil {
 		return err
 	}
 	w.syncGen = covered
 	return nil
 }
 
+// flushSync makes every append durable. Callers hold syncMu and mu.
+func (w *wal) flushSync() error {
+	if err := w.bw.Flush(); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.syncGen = w.writeGen
+	return nil
+}
+
 // rotate seals the active segment and opens the next one, returning
 // the sealed segment's sequence number. Everything in segments <= the
-// returned seq is durable and already applied to memory (records are
-// stored to shards before they are appended), so a snapshot taken
-// after rotation covers them.
+// returned seq is durable and in the log, so a copy of the log taken
+// before the next append covers them.
 func (w *wal) rotate() (int, error) {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		return 0, err
+	if w.err != nil {
+		return 0, w.err
 	}
-	if err := w.f.Sync(); err != nil {
-		return 0, err
+	err := w.flushSync()
+	if err == nil {
+		err = w.f.Close()
 	}
-	if err := w.f.Close(); err != nil {
+	var f *os.File
+	if err == nil {
+		f, err = openSegment(w.dir, w.seq+1)
+	}
+	if err != nil {
+		w.err = err
 		return 0, err
 	}
 	sealed := w.seq
 	w.seq++
-	f, err := openSegment(w.dir, w.seq)
-	if err != nil {
-		return 0, err
-	}
-	w.f = f
-	w.bw = bufio.NewWriter(f)
-	w.records = 0
-	w.syncGen = w.writeGen
+	w.f, w.bw, w.records = f, bufio.NewWriter(f), 0
 	return sealed, nil
 }
 
-// close flushes, fsyncs, and closes the active segment.
+// close seals the log: it flushes, fsyncs, and closes the active
+// segment, and refuses every later append. Closing twice is a no-op.
 func (w *wal) close() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		return err
+	if w.err == errClosed {
+		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	err := w.err
+	if err == nil {
+		err = w.flushSync()
 	}
-	return w.f.Close()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.err = errClosed
+	return err
 }
 
 // writeFrame emits one length+CRC framed JSON record.
@@ -257,36 +310,33 @@ func readSegment(path string) (recs []walRecord, good int64, size int64, err err
 	}
 }
 
-// applyRecord installs one replayed or mirrored record, trusting its
-// source (the vaccine was validated and slice-verified at publish
-// time). It is idempotent: an entry only moves forward in version. It
-// leaves the version counter alone: callers ratchet it once per batch,
-// after every record of the batch is stored, so a concurrent Delta
-// never sees a version whose records are half applied.
-func (r *Registry) applyRecord(rec walRecord) {
-	s := r.shardFor(rec.Vaccine.ID)
-	s.mu.Lock()
-	if prev, ok := s.byID[rec.Vaccine.ID]; !ok || prev.version <= rec.Version {
-		s.byID[rec.Vaccine.ID] = regEntry{
-			v:       rec.Vaccine,
-			fp:      rec.Vaccine.Fingerprint(),
-			version: rec.Version,
-		}
-		if rec.Version > s.version {
-			s.version = rec.Version
+// applyRecords installs trusted records — a snapshot, a replayed WAL
+// segment, or a relay's mirrored delta — and sets the fence to the
+// higher of fence and the top record in one critical section, so no
+// reader sees a batch half applied. With reset the log is wiped first:
+// a relay whose upstream restarted its version line refills its mirror
+// without ever serving it empty. Records apply by max version per ID,
+// so replaying a segment that a snapshot covers is a no-op.
+func (r *Registry) applyRecords(recs []walRecord, fence uint64, reset bool) {
+	fps := make([]string, len(recs))
+	for i := range recs {
+		fps[i] = recs[i].Vaccine.Fingerprint()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if reset {
+		r.log, r.last = nil, 0
+		clear(r.newest)
+	}
+	for i, rec := range recs {
+		// A missing ID reads as 0; versions start at 1.
+		if rec.Version > r.newest[rec.Vaccine.ID] {
+			r.store(regEntry{v: rec.Vaccine, fp: fps[i], version: rec.Version})
 		}
 	}
-	s.mu.Unlock()
-}
-
-// applyRecords applies a replayed batch, then ratchets the counter
-// once to the higher of fence and the batch's top version.
-func (r *Registry) applyRecords(recs []walRecord, fence uint64) {
-	for _, rec := range recs {
-		r.applyRecord(rec)
-		fence = max(fence, rec.Version)
-	}
-	r.ratchetVersion(fence)
+	r.last = max(r.last, fence)
+	r.fence.Store(r.last)
+	r.prune()
 }
 
 // OpenRegistry opens (or creates) a persistent registry rooted at dir:
@@ -310,7 +360,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 		if err := json.Unmarshal(data, &snap); err != nil {
 			return nil, fmt.Errorf("fleet: OpenRegistry: corrupt snapshot %s: %w", snapPath, err)
 		}
-		r.applyRecords(snap.Records, snap.Version)
+		r.applyRecords(snap.Records, snap.Version, false)
 		r.SetGenerator(snap.Generator)
 		r.recovery.SnapshotVersion = snap.Version
 	} else if !os.IsNotExist(err) {
@@ -338,7 +388,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 			}
 			r.recovery.TruncatedBytes += size - good
 		}
-		r.applyRecords(recs, 0)
+		r.applyRecords(recs, 0, false)
 		replayed += len(recs)
 		r.recovery.Segments++
 		if _, err := fmt.Sscanf(filepath.Base(seg), walSegmentFmt, &lastSeq); err != nil {
@@ -373,48 +423,28 @@ func (r *Registry) Recovery() RecoveryStats { return r.recovery }
 // Persistent reports whether the registry is WAL-backed.
 func (r *Registry) Persistent() bool { return r.wal != nil }
 
-// Close seals the write-ahead log. The registry remains readable;
-// further publishes fail. No-op for an in-memory registry.
+// Close seals the write-ahead log: a running compaction finishes and
+// the last group commit is fsynced before it returns, and every later
+// publish fails. The registry stays readable, and closing it again is a
+// no-op. No-op for an in-memory registry.
 func (r *Registry) Close() error {
 	if r.wal == nil {
 		return nil
 	}
+	r.compactMu.Lock()
+	defer r.compactMu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.wal.close()
 }
 
-// logBatch appends one publish's records and waits for durability,
-// then triggers compaction if the log has grown past CompactEvery.
-func (r *Registry) logBatch(batch []walRecord) error {
-	gen, err := r.wal.append(batch)
-	if err != nil {
-		return fmt.Errorf("fleet: wal append: %w", err)
-	}
-	if err := r.wal.sync(gen); err != nil {
-		return fmt.Errorf("fleet: wal sync: %w", err)
-	}
-	limit := r.CompactEvery
-	if limit <= 0 {
-		limit = DefaultCompactEvery
-	}
-	r.wal.mu.Lock()
-	due := r.wal.records >= limit
-	r.wal.mu.Unlock()
-	if due {
-		if err := r.Compact(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Compact bounds the write-ahead log: it rotates to a fresh segment,
-// snapshots the full in-memory registry (which covers every record in
-// the sealed segments — records reach memory before the log), writes
-// the snapshot atomically, and deletes the sealed segments. Safe to
-// call concurrently with publishes and reads; concurrent compactions
-// serialise. A crash between the snapshot rename and the segment
-// deletes only costs replay time: records are applied by max version,
-// so re-replaying a snapshotted segment is a no-op.
+// Compact bounds the write-ahead log: in one critical section it
+// rotates to a fresh segment and copies the log's newest entries, which
+// therefore cover exactly the sealed segments; then it writes the
+// snapshot atomically and deletes the sealed segments. Safe to call
+// concurrently with publishes and reads; compactions serialise. A crash
+// between the snapshot rename and the segment deletes only costs replay
+// time: re-replaying a snapshotted segment is a no-op.
 func (r *Registry) Compact() error {
 	if r.wal == nil {
 		return nil
@@ -422,25 +452,18 @@ func (r *Registry) Compact() error {
 	r.compactMu.Lock()
 	defer r.compactMu.Unlock()
 
+	r.mu.RLock()
 	sealed, err := r.wal.rotate()
+	snap := snapshotState{Version: r.last, Generator: r.Generator()}
+	for _, e := range r.log {
+		if e.next == 0 {
+			snap.Records = append(snap.Records, walRecord{Version: e.version, Vaccine: e.v})
+		}
+	}
+	r.mu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("fleet: compact: %w", err)
 	}
-	snap := snapshotState{Generator: r.Generator()}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, e := range s.byID {
-			snap.Records = append(snap.Records, walRecord{Version: e.version, Vaccine: e.v})
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(snap.Records, func(i, j int) bool {
-		return snap.Records[i].Version < snap.Records[j].Version
-	})
-	// Capture the counter after the scan so it covers every entry in
-	// the snapshot; max() at replay handles records beyond it.
-	snap.Version = r.version.Load()
 
 	data, err := json.Marshal(&snap)
 	if err != nil {

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // openTestRegistry opens a persistent registry in dir, failing the
@@ -245,6 +248,206 @@ func TestWALConcurrentPublish(t *testing.T) {
 	}
 	if r2.Delta(0).ETag != before.ETag {
 		t.Fatal("reboot digest differs after concurrent publishes")
+	}
+}
+
+// TestWALReplayOutOfOrderSegment replays a segment whose frames are
+// out of version order — logs written by earlier releases, whose
+// publishers appended outside the version lock, can hold them: every
+// record must load, in version order, under the highest version.
+func TestWALReplayOutOfOrderSegment(t *testing.T) {
+	dir := t.TempDir()
+	vs := testVaccines("ooo", 3)
+	f, err := os.Create(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(f)
+	for _, ver := range []uint64{2, 3, 1} {
+		rec := walRecord{Version: ver, Vaccine: vs[ver-1]}
+		if err := writeFrame(bw, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openTestRegistry(t, dir)
+	defer r.Close()
+	d := r.Delta(0)
+	if r.Latest() != 3 || len(d.Vaccines) != 3 {
+		t.Fatalf("replay: Latest %d, %d vaccines; want 3/3", r.Latest(), len(d.Vaccines))
+	}
+	for i, v := range d.Vaccines {
+		if d.Versions[i] != uint64(i+1) || v.ID != vs[i].ID {
+			t.Fatalf("entry %d: %s at version %d, want %s at %d", i, v.ID, d.Versions[i], vs[i].ID, i+1)
+		}
+	}
+}
+
+// TestFailedWALWriteNeverVisible breaks the active segment under a
+// live registry: the publish whose append or fsync fails must not be
+// served, the failure must stick for every later publish, and a reopen
+// must serve exactly the state that was durable before it.
+func TestFailedWALWriteNeverVisible(t *testing.T) {
+	cases := []struct {
+		name  string
+		crack func(t *testing.T, w *wal)
+	}{
+		// The segment is closed: the next append fails.
+		{"write", func(t *testing.T, w *wal) {
+			if err := w.f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A pipe takes the frames but cannot be fsynced: the append
+		// succeeds and the sync fails.
+		{"fsync", func(t *testing.T, w *wal) {
+			pr, pw, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { pr.Close(); pw.Close() })
+			w.f.Close()
+			w.f, w.bw = pw, bufio.NewWriter(pw)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := openTestRegistry(t, dir)
+			if _, _, err := r.Publish(testVaccines("dur", 2)...); err != nil {
+				t.Fatal(err)
+			}
+			before := r.Delta(0)
+			tc.crack(t, r.wal)
+			if _, _, err := r.Publish(staticVaccine("dur/late/0", "DUR-LATE-0001")); err == nil {
+				t.Fatal("publish succeeded although its WAL write failed")
+			}
+			if r.Latest() != 2 || r.Delta(0).ETag != before.ETag || r.Count() != 2 {
+				t.Fatalf("failed publish moved the registry: Latest %d, Count %d, digest match %v",
+					r.Latest(), r.Count(), r.Delta(0).ETag == before.ETag)
+			}
+			if d := r.Delta(2); d.Version != 2 || len(d.Vaccines) != 0 {
+				t.Fatalf("Delta(2) at Version %d carries %d vaccines: the failed publish is served",
+					d.Version, len(d.Vaccines))
+			}
+			if _, _, err := r.Publish(staticVaccine("dur/later/0", "DUR-LATER-0001")); err == nil {
+				t.Fatal("publish after a WAL failure succeeded: the failure must be sticky")
+			}
+			if r.Latest() != 2 {
+				t.Fatalf("Latest %d after the second failed publish, want 2", r.Latest())
+			}
+
+			r2 := openTestRegistry(t, dir)
+			defer r2.Close()
+			if r2.Latest() != 2 || r2.Delta(0).ETag != before.ETag {
+				t.Fatalf("reopen serves Latest %d, digest match %v; want the 2 durable vaccines",
+					r2.Latest(), r2.Delta(0).ETag == before.ETag)
+			}
+		})
+	}
+}
+
+// TestWALCloseIdempotentRefusesPublish pins Close's contract: a second
+// Close is a no-op, and a publish after Close is refused without
+// moving the version or reaching a delta.
+func TestWALCloseIdempotentRefusesPublish(t *testing.T) {
+	r := openTestRegistry(t, t.TempDir())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, _, err := r.Publish(staticVaccine("closed/mutex/0", "CLOSED-0001")); err == nil {
+		t.Fatal("publish after Close accepted")
+	}
+	if d := r.Delta(0); r.Latest() != 0 || len(d.Vaccines) != 0 {
+		t.Fatalf("publish after Close moved Latest to %d and put %d vaccines in Delta(0)",
+			r.Latest(), len(d.Vaccines))
+	}
+}
+
+// TestWALShutdownKeepsAcknowledgedPublishes races eight publishers
+// (and the compactions they trigger) against Close while a watcher
+// records every Latest() it sees. After a reopen the registry must be
+// at least as far as any version a reader was shown, and hold every
+// vaccine whose Publish returned nil: shutdown loses nothing that was
+// served or acknowledged. Run under -race.
+func TestWALShutdownKeepsAcknowledgedPublishes(t *testing.T) {
+	const publishers, perWorker = 8, 40
+	dir := t.TempDir()
+	r := openTestRegistry(t, dir)
+	r.CompactEvery = 16
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		acked []string
+	)
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				v := staticVaccine(
+					fmt.Sprintf("shut%d/mutex/%d", p, i),
+					fmt.Sprintf("SHUT%d-MARKER-%d", p, i))
+				if _, _, err := r.Publish(v); err != nil {
+					return // refused: the registry is closed
+				}
+				mu.Lock()
+				acked = append(acked, v.ID)
+				mu.Unlock()
+			}
+		}(p)
+	}
+	var seen atomic.Uint64
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if v := r.Latest(); v > seen.Load() {
+				seen.Store(v)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+	for r.Latest() < publishers*perWorker/4 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(stop)
+	<-watched
+	highest := max(seen.Load(), r.Latest())
+
+	r2 := openTestRegistry(t, dir)
+	defer r2.Close()
+	if r2.Latest() < highest {
+		t.Fatalf("reopened at version %d, but a reader was shown %d before shutdown", r2.Latest(), highest)
+	}
+	held := make(map[string]bool)
+	for _, v := range r2.Delta(0).Vaccines {
+		held[v.ID] = true
+	}
+	for _, id := range acked {
+		if !held[id] {
+			t.Fatalf("acknowledged publish %s lost across shutdown (%d acknowledged, %d recovered)",
+				id, len(acked), len(held))
+		}
 	}
 }
 
