@@ -462,39 +462,33 @@ func BenchmarkEmulatorWithSteps(b *testing.B) {
 
 // BenchmarkEmulatorStalling measures instruction dispatch on the
 // dynamic-analysis-evasion workload (stalling loop + timing check, see
-// PAPERS.md) where tight-loop stepping cost dominates — the workload
-// tier-2 block compilation targets. The stepwise variant forces tier-1
-// with Options.DisableBlocks; execution is byte-identical either way.
+// PAPERS.md): API-free straight-line code, so it reads the step loop's
+// dispatch floor with API dispatch out of the picture.
 func BenchmarkEmulatorStalling(b *testing.B) {
 	spec := &malware.Spec{Name: "bench-stalling", Category: malware.Trojan,
 		Behaviors: []malware.Behavior{
 			{Kind: malware.BehStalling, Count: 20_000},
 			{Kind: malware.BehMarkerMutex, ID: "BENCH-STALL-MUTEX"},
 		}}
-	prog := malware.MustEmit(spec)
-	run := func(b *testing.B, disable bool) {
-		r, err := emu.NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
+	r, err := emu.NewRunner(malware.MustEmit(spec), winenv.New(winenv.DefaultIdentity()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	steps := 0
+	for i := 0; i < b.N; i++ {
+		tr, err := r.Run(emu.Options{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer r.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		steps := 0
-		for i := 0; i < b.N; i++ {
-			tr, err := r.Run(emu.Options{Seed: benchSeed, DisableBlocks: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tr.Exit == trace.ExitFault {
-				b.Fatal(tr.Fault)
-			}
-			steps += tr.StepCount
+		if tr.Exit == trace.ExitFault {
+			b.Fatal(tr.Fault)
 		}
-		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
+		steps += tr.StepCount
 	}
-	b.Run("blocks", func(b *testing.B) { run(b, false) })
-	b.Run("stepwise", func(b *testing.B) { run(b, true) })
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
 }
 
 // BenchmarkEmulatorPooled measures steady-state throughput through the

@@ -76,9 +76,13 @@ func runBench(outPath string) error {
 		Baseline: "seed emulator (pre predecode/sparse-shadow/arena), Xeon 2.10GHz",
 	}
 
-	measure := func(name string, steps *int, fn func(b *testing.B)) benchRow {
-		*steps = 0
-		r := testing.Benchmark(fn)
+	measure := func(name string, steps *int, fn func(b *testing.B)) {
+		// testing.Benchmark calls fn once per trial N and reports the
+		// last trial, so the step count restarts with every call.
+		r := testing.Benchmark(func(b *testing.B) {
+			*steps = 0
+			fn(b)
+		})
 		row := benchRow{
 			Name:        name,
 			N:           r.N,
@@ -95,7 +99,6 @@ func runBench(outPath string) error {
 			row.Speedup = base.NsPerOp / row.NsPerOp
 		}
 		rep.Results = append(rep.Results, row)
-		return row
 	}
 
 	var steps int
@@ -148,52 +151,32 @@ func runBench(outPath string) error {
 	})
 	runner.Close()
 
-	// Tier-2 block-compiled dispatch vs forced tier-1 stepping on the
-	// stalling-evasion workload (tight untainted loop + timing check),
-	// where instruction dispatch dominates. Same binary, same runner
-	// shape; only Options.DisableBlocks differs, and execution is
-	// byte-identical either way. The blocks row's speedup field records
-	// the blocks-over-stepwise ratio rather than a seed-tree baseline.
+	// The stalling-evasion workload (tight untainted loop + timing
+	// check): API-free code, so this row is the step loop's dispatch
+	// floor with API dispatch out of the picture.
 	stallSpec := &malware.Spec{Name: "bench-stalling", Category: malware.Trojan,
 		Behaviors: []malware.Behavior{
 			{Kind: malware.BehStalling, Count: 20_000},
 			{Kind: malware.BehMarkerMutex, ID: "BENCH-STALL-MUTEX"},
 		}}
-	stallProg := malware.MustEmit(stallSpec)
-	stallTier := func(name string, disable bool) (benchRow, error) {
-		r, err := emu.NewRunner(stallProg, winenv.New(winenv.DefaultIdentity()))
-		if err != nil {
-			return benchRow{}, err
-		}
-		defer r.Close()
-		return measure(name, &steps, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr, err := r.Run(emu.Options{Seed: benchSeed, DisableBlocks: disable})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if tr.Exit == trace.ExitFault {
-					b.Fatal(tr.Fault)
-				}
-				steps += tr.StepCount
+	stallRunner, err := emu.NewRunner(malware.MustEmit(stallSpec), winenv.New(winenv.DefaultIdentity()))
+	if err != nil {
+		return err
+	}
+	measure("EmulatorStalling", &steps, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr, err := stallRunner.Run(emu.Options{Seed: benchSeed})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}), nil
-	}
-	blocksRow, err := stallTier("EmulatorStalling/blocks", false)
-	if err != nil {
-		return err
-	}
-	stepRow, err := stallTier("EmulatorStalling/stepwise", true)
-	if err != nil {
-		return err
-	}
-	if stepRow.NsPerOp > 0 && blocksRow.NsPerOp > 0 {
-		tier2 := &rep.Results[len(rep.Results)-2]
-		tier2.BaselineNsPerOp = stepRow.NsPerOp
-		tier2.BaselineAllocsPerOp = float64(stepRow.AllocsPerOp)
-		tier2.Speedup = stepRow.NsPerOp / blocksRow.NsPerOp
-	}
+			if tr.Exit == trace.ExitFault {
+				b.Fatal(tr.Fault)
+			}
+			steps += tr.StepCount
+		}
+	})
+	stallRunner.Close()
 
 	// Slice replay per algorithm-deterministic vaccine.
 	spec := &malware.Spec{Name: "bench-replay", Category: malware.Worm,

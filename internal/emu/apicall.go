@@ -84,11 +84,6 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 	if hasSource {
 		srcID = c.table.Reserve()
 		src = taint.Of(srcID)
-		// Taint now exists somewhere in the machine: retire the
-		// all-untainted compiled fast path for the rest of the run.
-		// (Sources are the only way taint enters; propagation and
-		// clearing never create labels.)
-		c.liveTaint = true
 	}
 
 	// Dispatch, or force the result when a mutation matches.

@@ -110,11 +110,6 @@ type Options struct {
 	// payload behind a failed library check) without changing the
 	// environment.
 	InvertBranches []int
-	// DisableBlocks forces fully step-wise (tier-1) execution even
-	// where block-compiled dispatch is available. Execution is
-	// byte-identical either way; the knob exists for debugging and for
-	// benchmarking the tiers against each other.
-	DisableBlocks bool
 }
 
 // DefaultMaxSteps is the default instruction budget.
@@ -138,12 +133,6 @@ type CPU struct {
 	symbols    map[string]uint32
 	callStack  []int
 	rngState   uint64
-
-	// runs is the program's shared tier-2 dispatch table; liveTaint
-	// flips (monotonically, per run) the moment a taint source is
-	// allocated, retiring the all-untainted compiled fast path.
-	runs      []*compiledRun
-	liveTaint bool
 
 	table        *taint.Table
 	tr           *trace.Trace
@@ -181,7 +170,6 @@ func New(prog *isa.Program, env *winenv.Env, opts Options) (*CPU, error) {
 	c := &CPU{
 		prog:     prog,
 		code:     d.instrs,
-		runs:     d.runs,
 		env:      env,
 		registry: opts.Registry,
 		opts:     opts,
@@ -229,7 +217,6 @@ func (c *CPU) resetFor(opts Options) {
 	}
 	c.apiSeq = 0
 	c.lastErrTaint = taint.Set{}
-	c.liveTaint = false
 	c.curReads = c.curReads[:0]
 	c.curWrites = c.curWrites[:0]
 	c.done = false

@@ -389,12 +389,16 @@ func TestArgCountMismatchFaults(t *testing.T) {
 }
 
 func TestBadMemoryFaults(t *testing.T) {
+	// The fault lands mid-sequence: the faulting instruction counts as a
+	// step, the ones after it never run.
 	b := isa.NewBuilder("wild")
+	b.Mov(isa.R(isa.EAX), isa.Imm(1))
 	b.Mov(isa.R(isa.EAX), isa.MemAbs(0xDEAD0000))
+	b.Add(isa.R(isa.EAX), isa.Imm(1))
 	prog := b.MustBuild()
 	tr, _ := Run(prog, winenv.New(winenv.DefaultIdentity()), Options{})
-	if tr.Exit != trace.ExitFault || !strings.Contains(tr.Fault, "unmapped") {
-		t.Errorf("exit = %v, fault = %q", tr.Exit, tr.Fault)
+	if tr.Exit != trace.ExitFault || !strings.Contains(tr.Fault, "unmapped") || tr.StepCount != 2 {
+		t.Errorf("exit = %v, fault = %q, steps = %d", tr.Exit, tr.Fault, tr.StepCount)
 	}
 }
 

@@ -13,13 +13,6 @@ import (
 // with ExitFault recorded in the trace rather than returning an error:
 // a crashing malware sample is an observation, not an analysis failure.
 func (c *CPU) Execute() *trace.Trace {
-	// Tier-2 block dispatch applies only when nothing needs per-step
-	// fidelity: step recording and forced execution stay fully
-	// step-wise (and API calls split compiled runs at predecode).
-	runs := c.runs
-	if c.opts.RecordSteps || len(c.opts.InvertBranches) > 0 || c.opts.DisableBlocks {
-		runs = nil
-	}
 	for !c.done {
 		if c.tr.StepCount >= c.opts.MaxSteps {
 			c.exitKind = trace.ExitLimit
@@ -33,18 +26,6 @@ func (c *CPU) Execute() *trace.Trace {
 				c.faultf("pc %d out of range", c.pc)
 			}
 			break
-		}
-		if runs != nil {
-			if r := runs[c.pc]; r != nil && c.tr.StepCount+r.n <= c.opts.MaxSteps {
-				// The whole run fits the step budget; a run that would
-				// straddle the limit is stepped instead so ExitLimit
-				// lands on exactly the same instruction either way.
-				if err := c.runCompiled(r); err != nil {
-					c.faultf("%v", err)
-					break
-				}
-				continue
-			}
 		}
 		if err := c.step(); err != nil {
 			c.faultf("%v", err)

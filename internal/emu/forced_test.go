@@ -97,33 +97,6 @@ func TestForcedExecutionAgreesWithAPIMutation(t *testing.T) {
 	}
 }
 
-func TestForcedExecutionParityAcrossTiers(t *testing.T) {
-	// The forced-execution hook bails out of tier-2 entirely (branch
-	// inversion needs per-step control), so DisableBlocks must be a
-	// no-op under InvertBranches: identical traces with the knob on and
-	// off, and identical to the natural-run divergence point.
-	prog := dormantSample()
-	pc := findConditionalPC(prog)
-	opts := Options{Seed: 1, InvertBranches: []int{pc}}
-
-	withBlocks, err := Run(prog, winenv.New(winenv.DefaultIdentity()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepOpts := opts
-	stepOpts.DisableBlocks = true
-	stepwise, err := Run(prog, winenv.New(winenv.DefaultIdentity()), stepOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traceJSON(t, withBlocks) != traceJSON(t, stepwise) {
-		t.Error("forced execution diverges between tiers")
-	}
-	if withBlocks.Exit != trace.ExitHalt || len(withBlocks.CallsTo("gethostbyname")) == 0 {
-		t.Error("forced execution lost the dormant payload under default (blocks-enabled) options")
-	}
-}
-
 func TestInvertBranchOnlyNamedPC(t *testing.T) {
 	// Inverting an unrelated PC leaves the target branch alone.
 	prog := dormantSample()

@@ -55,11 +55,6 @@ type decoded struct {
 	instrs  []dInstr
 	symbols map[string]uint32
 	segs    []segImage
-	// runs is the tier-2 block-compiled dispatch table (compile.go):
-	// an entry per run-start pc, nil elsewhere. Shared across every CPU
-	// executing the program — compiled closures capture only immutable
-	// predecode data.
-	runs []*compiledRun
 }
 
 // decodedFor returns the program's cached execution form, building and
@@ -125,7 +120,6 @@ func predecode(p *isa.Program) (*decoded, error) {
 		}
 		d.instrs[i] = di
 	}
-	d.runs = compileRuns(p, d)
 	return d, nil
 }
 

@@ -31,43 +31,52 @@ func traceJSON(t *testing.T, tr *trace.Trace) string {
 }
 
 // TestRunnerByteIdentity checks that pooled re-execution is
-// indistinguishable from one-shot execution: run N and run N+1 through
-// one Runner must serialize identically, and both must match a fresh
-// emulator on a fresh environment.
+// indistinguishable from one-shot execution, with and without step
+// recording: run N and run N+1 through one Runner must serialize
+// identically, and both must match a fresh emulator on a fresh
+// environment.
 func TestRunnerByteIdentity(t *testing.T) {
-	prog := mutexChecker("!RunnerId")
-	opts := Options{Seed: 7, RecordSteps: true}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{Seed: 7}},
+		{"record-steps", Options{Seed: 7, RecordSteps: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := mutexChecker("!RunnerId")
+			r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			tr1, err := r.Run(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr2, err := r.Run(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShot, err := Run(prog, winenv.New(winenv.DefaultIdentity()), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	tr1, err := r.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := r.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneShot, err := Run(prog, winenv.New(winenv.DefaultIdentity()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	j1, j2, j3 := traceJSON(t, tr1), traceJSON(t, tr2), traceJSON(t, oneShot)
-	if j1 != j2 {
-		t.Error("pooled run N+1 diverged from run N")
-	}
-	if j1 != j3 {
-		t.Error("pooled run diverged from one-shot execution")
-	}
-	// tr1 must still be intact after tr2 was produced and after Close:
-	// traces never alias pooled emulator state.
-	r.Close()
-	if traceJSON(t, tr1) != j1 {
-		t.Error("earlier trace mutated by later run or Close")
+			j1, j2, j3 := traceJSON(t, tr1), traceJSON(t, tr2), traceJSON(t, oneShot)
+			if j1 != j2 {
+				t.Error("pooled run N+1 diverged from run N")
+			}
+			if j1 != j3 {
+				t.Error("pooled run diverged from one-shot execution")
+			}
+			// tr1 must still be intact after tr2 was produced and after
+			// Close: traces never alias pooled emulator state.
+			r.Close()
+			if traceJSON(t, tr1) != j1 {
+				t.Error("earlier trace mutated by later run or Close")
+			}
+		})
 	}
 }
 
@@ -92,48 +101,6 @@ func TestRunnerEnvRewound(t *testing.T) {
 		}
 		if got := len(tr.CallsTo("CreateMutexA")); got != 1 {
 			t.Fatalf("run %d: CreateMutexA calls = %d (env state leaked)", i, got)
-		}
-	}
-}
-
-// TestRunnerTierParityAcrossRewinds checks block-compiled and step-wise
-// execution stay byte-identical through the Runner's snapshot-rewind
-// cycle, alternating tiers run to run — the environment rewind lands
-// "mid-block" from the compiled table's point of view (the next run
-// re-enters compiled runs from pc 0 against rewound state), and step
-// recording (which bails to tier-1) must see the same machine either
-// way.
-func TestRunnerTierParityAcrossRewinds(t *testing.T) {
-	prog := mutexChecker("!TierRewind")
-	r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	for _, opts := range []Options{
-		{Seed: 7},
-		{Seed: 7, RecordSteps: true},
-	} {
-		name := "plain"
-		if opts.RecordSteps {
-			name = "record-steps"
-		}
-		var ref string
-		// Alternate tiers across rewinds: compiled, step-wise, compiled.
-		for i, disable := range []bool{false, true, false} {
-			o := opts
-			o.DisableBlocks = disable
-			tr, err := r.Run(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j := traceJSON(t, tr)
-			if i == 0 {
-				ref = j
-			} else if j != ref {
-				t.Errorf("%s: run %d (DisableBlocks=%v) diverged from run 0", name, i, disable)
-			}
 		}
 	}
 }

@@ -94,7 +94,8 @@ type MetricsSnapshot struct {
 	Errors uint64
 	// BytesServed totals response body bytes.
 	BytesServed uint64
-	// P50 and P99 are handler latency quantiles in microseconds.
+	// P50 and P99 are handler latency quantiles in microseconds. A
+	// long-poll's time parked waiting for a publish is not counted.
 	P50Micros uint64
 	P99Micros uint64
 	// Version and Vaccines describe the registry.

@@ -89,11 +89,13 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	return snap
 }
 
-// statusWriter counts the status and body bytes of one response.
+// statusWriter counts the status and body bytes of one response, and
+// carries the time the handler spent parked on a long-poll.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	parked time.Duration
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -111,6 +113,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // instrument wraps a handler with the request/latency/bytes counters.
+// The latency it observes is handler time minus long-poll park time, so
+// a parked request reports server work, not the client's wait=.
 func instrument(m *Metrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -121,7 +125,7 @@ func instrument(m *Metrics, next http.Handler) http.Handler {
 		if sw.status >= 400 {
 			m.errors.Add(1)
 		}
-		m.latency.observe(time.Since(start))
+		m.latency.observe(time.Since(start) - sw.parked)
 	})
 }
 
@@ -175,7 +179,13 @@ func (s *Server) handlePacks(w http.ResponseWriter, r *http.Request) {
 	}
 	if wait > 0 && since == latest {
 		s.metrics.longPolls.Add(1)
+		parkStart := time.Now()
 		latest = s.waitForPublish(r.Context(), since, wait)
+		// Through Handler, w is instrument's statusWriter: hand it the
+		// park so the latency histogram leaves it out.
+		if sw, ok := w.(*statusWriter); ok {
+			sw.parked += time.Since(parkStart)
+		}
 	}
 	if since == latest && (latest > 0 || wait > 0) {
 		// Nothing published past the client's version: cheap 304

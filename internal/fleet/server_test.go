@@ -218,6 +218,40 @@ func TestPacksLongPollTimeout304(t *testing.T) {
 	}
 }
 
+// TestMetricsLatencyExcludesLongPollPark parks one long-poll until its
+// wait expires, then reads /v1/metrics: the handler latency quantiles
+// must report the server's work on that request, not the client's
+// wait= spent parked.
+func TestMetricsLatencyExcludesLongPollPark(t *testing.T) {
+	const wait = 300 * time.Millisecond
+	srv, ts := newTestServer(t)
+	srv.Registry().Publish(testVaccines("park", 2)...)
+
+	start := time.Now()
+	resp := getDeltaWait(t, ts.URL, "2", wait.String())
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotModified || time.Since(start) < wait {
+		t.Fatalf("long-poll status %d after %v, want a 304 after the %v wait",
+			resp.StatusCode, time.Since(start), wait)
+	}
+
+	resp, err := http.Get(ts.URL + PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap MetricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.LongPolls != 1 || snap.NotModified != 1 {
+		t.Fatalf("metrics %+v, want one parked 304", snap)
+	}
+	if snap.P99Micros >= uint64(wait.Microseconds()) {
+		t.Fatalf("P99Micros = %d after one parked 304, want below the %v wait", snap.P99Micros, wait)
+	}
+}
+
 // TestPacksResyncAheadOfRegistry pins the agent-ahead-of-restarted-
 // registry recovery: a since beyond the registry's latest must be
 // answered with the full content marked Reset — not the 304-forever

@@ -117,9 +117,20 @@ func segmentPath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf(walSegmentFmt, seq))
 }
 
-// openSegment creates the next append segment.
+// openSegment creates the next append segment and fsyncs the directory,
+// so the segment's entry is as durable as the records later fsynced into
+// it: on a filesystem that does not order directory updates, a power
+// loss could otherwise drop a segment whose appends were acknowledged.
 func openSegment(dir string, seq int) (*os.File, error) {
-	return os.OpenFile(segmentPath(dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(segmentPath(dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // failure returns the sticky error that refuses appends: nil for a
@@ -509,8 +520,9 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory so a file created or renamed within it is
+// durable. It is a variable so tests can observe the calls.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,6 +208,47 @@ func TestWALCompaction(t *testing.T) {
 	}
 	if r2.Latest() != 23 {
 		t.Fatalf("post-reboot version %d, want 23", r2.Latest())
+	}
+}
+
+// TestWALSyncsDirectoryPerSegment pins that every new WAL segment's
+// directory entry is fsynced before the segment takes appends: once at
+// boot and once at each compaction's rotation, ahead of the snapshot
+// rename's own directory fsync. Each wrapped syncDir call records the
+// segments and snapshot present when it ran.
+func TestWALSyncsDirectoryPerSegment(t *testing.T) {
+	dir := t.TempDir()
+	var calls []string
+	orig := syncDir
+	syncDir = func(d string) error {
+		var names []string
+		for _, seg := range walSegments(t, d) {
+			names = append(names, filepath.Base(seg))
+		}
+		_, err := os.Stat(filepath.Join(d, snapshotName))
+		calls = append(calls, fmt.Sprintf("%s snapshot=%v", strings.Join(names, ","), err == nil))
+		return orig(d)
+	}
+	defer func() { syncDir = orig }()
+
+	r := openTestRegistry(t, dir)
+	defer r.Close()
+	want := []string{"wal-00000001.log snapshot=false"}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("directory fsyncs after boot = %q, want %q", calls, want)
+	}
+	if _, _, err := r.Publish(testVaccines("dirsync", 3)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want,
+		"wal-00000001.log,wal-00000002.log snapshot=false", // rotation's new segment
+		"wal-00000001.log,wal-00000002.log snapshot=true",  // snapshot rename
+	)
+	if !slices.Equal(calls, want) {
+		t.Fatalf("directory fsyncs after compaction = %q, want %q", calls, want)
 	}
 }
 

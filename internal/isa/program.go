@@ -76,9 +76,9 @@ type Span struct {
 // the entry, every jump/call target, every labelled instruction, and
 // every instruction after a control transfer (jump, call, ret, halt) —
 // so fallthrough-into-label and dead-code-after-jump both start fresh
-// blocks. This is the single leader rule shared by the static CFG
-// (static.BuildCFG) and the emulator's block compiler; the program is
-// not validated here (unresolved jump targets are simply not leaders).
+// blocks. static.BuildCFG builds its blocks from these spans; the
+// program is not validated here (unresolved jump targets are simply not
+// leaders).
 func (p *Program) BlockSpans() []Span {
 	n := len(p.Instrs)
 	if n == 0 {

@@ -68,10 +68,8 @@ type CFG struct {
 // already do); an invalid program returns an error rather than a
 // malformed graph.
 //
-// The partition itself comes from isa.Program.BlockSpans — the single
-// leader rule shared with the emulator's block compiler
-// (internal/emu/compile.go), so the two views of "basic block" cannot
-// drift: a span there is a Block here.
+// The partition itself comes from isa.Program.BlockSpans: a span there
+// is a Block here.
 func BuildCFG(p *isa.Program) (*CFG, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("static: %w", err)
