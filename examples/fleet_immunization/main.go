@@ -65,7 +65,7 @@ func run() error {
 	// Analyse the whole corpus once (the one-time analysis-side cost).
 	// The corpus run is fault-isolated: a hostile sample that errors or
 	// panics costs only its own vaccines, never the fleet's pack.
-	results, stats, runErr := pipeline.AnalyzeAllContext(context.Background(), corpus, 0)
+	results, stats, runErr := pipeline.AnalyzeCorpus(context.Background(), corpus, core.CorpusOptions{})
 	if runErr != nil {
 		fmt.Printf("corpus: %d sample(s) failed analysis (isolated): %v\n", stats.Failed, runErr)
 	}

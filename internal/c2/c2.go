@@ -107,13 +107,6 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// AllDomains returns every concrete domain the scenario names (C2 and
-// killswitch), for seeding experiment allowlists and reports.
-func (s *Scenario) AllDomains() []string {
-	out := append([]string{}, s.Domains...)
-	return append(out, s.Killswitch...)
-}
-
 // matchGlob matches s against a pattern containing exactly one '*'.
 func matchGlob(pattern, s string) bool {
 	i := strings.IndexByte(pattern, '*')

@@ -177,36 +177,16 @@ func (p *Pipeline) analyzeIsolated(s *malware.Sample, index int) (res *Result, e
 	return res, err
 }
 
-// AnalyzeAll analyses a corpus with a bounded worker pool. The pipeline
-// is immutable and every execution builds its own environment, so
-// samples are embarrassingly parallel; results come back indexed by
-// sample, identical to a serial run (workers only change wall-clock
-// time, never output — the determinism tests pin this).
-//
-// workers <= 0 selects GOMAXPROCS. Failures are isolated per sample: a
-// panicking or erroring sample yields a nil Result slot while every
-// healthy sample's Result is returned, and the error aggregates all
-// per-sample failures (errors.Join of *SampleError) ordered by sample
-// index — serial and parallel runs report identical errors. An empty
-// corpus returns ([]*Result{}, nil).
-func (p *Pipeline) AnalyzeAll(samples []*malware.Sample, workers int) ([]*Result, error) {
-	results, _, err := p.AnalyzeAllContext(context.Background(), samples, workers)
-	return results, err
-}
-
-// AnalyzeAllContext is AnalyzeAll with cancellation: workers stop
-// picking up new samples once ctx is done (in-flight samples finish),
-// so the call returns within one sample-analysis of cancellation with
-// partial results, run statistics, and ctx's error joined last.
-func (p *Pipeline) AnalyzeAllContext(ctx context.Context, samples []*malware.Sample, workers int) ([]*Result, *RunStats, error) {
-	return p.AnalyzeCorpus(ctx, samples, CorpusOptions{Workers: workers})
-}
-
-// AnalyzeCorpus is the full-control corpus entry point: bounded
-// workers, cancellation, an optional error budget, per-sample fault
-// isolation, and run statistics. See the contract at the top of this
-// file. The results slice is always len(samples) with nil slots for
-// failed or skipped samples.
+// AnalyzeCorpus is the corpus entry point: bounded workers,
+// cancellation, an optional error budget, per-sample fault isolation,
+// and run statistics. See the contract at the top of this file. The
+// pipeline is immutable and every execution builds its own
+// environment, so samples are embarrassingly parallel: results come
+// back indexed by sample, identical to a serial run (workers only
+// change wall-clock time, never output — the determinism tests pin
+// this). The results slice is always len(samples) with nil slots for
+// failed or skipped samples; an empty corpus returns an empty non-nil
+// slice and no error.
 func (p *Pipeline) AnalyzeCorpus(ctx context.Context, samples []*malware.Sample, opts CorpusOptions) ([]*Result, *RunStats, error) {
 	start := time.Now()
 	stats := &RunStats{SampleTimes: make([]time.Duration, len(samples))}

@@ -38,12 +38,12 @@ func TestAnalyzeAllMatchesSerial(t *testing.T) {
 	samples := corpus(t, 24)
 	p := New(Config{Seed: 5})
 
-	serial, err := p.AnalyzeAll(samples, 1)
+	serial, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		parallel, err := p.AnalyzeAll(samples, workers)
+		parallel, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestAnalyzeAllMatchesSerial(t *testing.T) {
 func TestAnalyzeAllDefaultsWorkers(t *testing.T) {
 	samples := corpus(t, 6)
 	p := New(Config{Seed: 5})
-	rs, err := p.AnalyzeAll(samples, 0) // GOMAXPROCS, clamped to len
+	rs, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 0}) // GOMAXPROCS, clamped to len
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAnalyzeAllDefaultsWorkers(t *testing.T) {
 func TestAnalyzeAllEmpty(t *testing.T) {
 	p := New(Config{Seed: 5})
 	for _, samples := range [][]*malware.Sample{nil, {}} {
-		rs, err := p.AnalyzeAll(samples, 4)
+		rs, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 4})
 		if err != nil {
 			t.Errorf("empty corpus: err = %v", err)
 		}
@@ -117,7 +117,7 @@ func TestAnalyzeAllIsolatesFailures(t *testing.T) {
 	p := New(Config{Seed: 5})
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		rs, err := p.AnalyzeAll(samples, workers)
+		rs, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: no aggregated error", workers)
 		}
@@ -161,7 +161,7 @@ func TestAnalyzeAllErrorOrderDeterministic(t *testing.T) {
 
 	var serial string
 	for _, workers := range []int{1, 2, 4, 8} {
-		_, err := p.AnalyzeAll(samples, workers)
+		_, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: no error", workers)
 		}
@@ -192,7 +192,7 @@ func TestAnalyzeAllPanicStack(t *testing.T) {
 		return nil
 	})
 	p := New(Config{Seed: 5})
-	_, err := p.AnalyzeAll(samples, 2)
+	_, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 2})
 	var se *SampleError
 	if !errors.As(err, &se) {
 		t.Fatalf("no *SampleError in %v", err)
@@ -219,7 +219,7 @@ func TestAnalyzeCorpusCancellation(t *testing.T) {
 	})
 	p := New(Config{Seed: 5})
 
-	rs, st, err := p.AnalyzeAllContext(ctx, samples, 4)
+	rs, st, err := p.AnalyzeCorpus(ctx, samples, CorpusOptions{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled joined", err)
 	}
@@ -272,7 +272,7 @@ func TestAnalyzeCorpusMaxErrors(t *testing.T) {
 func TestRunStatsAccounting(t *testing.T) {
 	samples := corpus(t, 8)
 	p := New(Config{Seed: 5})
-	rs, st, err := p.AnalyzeAllContext(context.Background(), samples, 4)
+	rs, st, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ type Config struct {
 
 // Pipeline runs AUTOVAC end to end. Its state is immutable after New,
 // so one Pipeline may analyse many samples concurrently (see
-// AnalyzeAll).
+// AnalyzeCorpus).
 type Pipeline struct {
 	cfg Config
 	// registry is the shared labelled API set; it is read-only after

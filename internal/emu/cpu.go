@@ -263,9 +263,6 @@ func Run(prog *isa.Program, env *winenv.Env, opts Options) (*trace.Trace, error)
 // Trace returns the trace being built.
 func (c *CPU) Trace() *trace.Trace { return c.tr }
 
-// TaintTable returns the run's taint-source table.
-func (c *CPU) TaintTable() *taint.Table { return c.table }
-
 // SymbolAddr returns the load address of a data symbol.
 func (c *CPU) SymbolAddr(name string) (uint32, bool) {
 	a, ok := c.symbols[name]

@@ -32,11 +32,13 @@ import (
 //
 // Loads at constant addresses inside the loader image evaluate to the
 // image word (the image is immutable); loads through a multi-row table
-// pointer at the address-word offset yield addrof over those rows. Two
-// flow-sensitive refinements give the pass its precision on the
-// hash-resolve idiom, both justified by loader construction invariants
-// (export hashes are unique per module; emu.buildLoader panics
-// otherwise):
+// pointer at the address-word offset yield addrof over those rows.
+// ESP moves as in the emulator (PUSH and CALL −4, POP and RET +4, a
+// callee's stdcall pop +4·NArgs), so a load at a constant ESP reads
+// the word the run reads. Two flow-sensitive refinements give the pass
+// its precision on the hash-resolve idiom, both justified by loader
+// construction invariants (export hashes are unique per module;
+// emu.buildLoader panics otherwise):
 //
 //   - hash-match: when a block loads a row's hash word through a table
 //     pointer, compares it against a known constant K, and branches on
@@ -46,7 +48,8 @@ import (
 //     if either register is redefined before the branch.
 //   - bound-check: a `cmp cursor, end; jl` whose taken edge requires
 //     cursor < end clears the cursor's may-be-past-the-table bit when
-//     end does not exceed the module's table end.
+//     end does not exceed the module's table end, unless the cursor
+//     is redefined before the branch.
 //
 // Soundness: the recovered surface over-approximates the API set any
 // standard-semantics execution invokes — every abstract operation
@@ -124,7 +127,6 @@ type asState [isa.NumRegs]av
 
 // surfacePass carries the pass-wide immutables.
 type surfacePass struct {
-	cfg    *CFG
 	loader *emu.LoaderInfo
 }
 
@@ -372,14 +374,38 @@ func aluAv(op isa.Opcode, a, b av) av {
 	if a.kind != avConst || b.kind != avConst {
 		return topV
 	}
-	c := alu(op, konst(a.v), konst(b.v))
-	if c.kind != cConst {
+	v, ok := alu(op, a.v, b.v)
+	if !ok {
 		return topV
 	}
-	return avK(c.v)
+	return avK(v)
 }
 
-// transfer applies one instruction, maintaining the block facts.
+// alu folds a binary ALU operation with the emulator's exact uint32
+// wrap and &31 shift-mask semantics (internal/emu exec.go). ok is false
+// for an opcode it does not fold; ADD goes through addAv, which also
+// steps table cursors.
+func alu(op isa.Opcode, a, b uint32) (v uint32, ok bool) {
+	switch op {
+	case isa.SUB:
+		return a - b, true
+	case isa.XOR:
+		return a ^ b, true
+	case isa.AND:
+		return a & b, true
+	case isa.OR:
+		return a | b, true
+	case isa.SHL:
+		return a << (b & 31), true
+	case isa.SHR:
+		return a >> (b & 31), true
+	}
+	return 0, false
+}
+
+// transfer applies one instruction, maintaining the block facts. It is
+// the package's one constant folder: the slice verifier walks the same
+// transfer (verify.go).
 func (sp *surfacePass) transfer(in isa.Instr, st *asState, f *blockFacts) {
 	setReg := func(o isa.Operand, v av) {
 		if o.Kind != isa.KindReg {
@@ -389,8 +415,23 @@ func (sp *surfacePass) transfer(in isa.Instr, st *asState, f *blockFacts) {
 		if f.load.valid && (o.Reg == f.load.dst || o.Reg == f.load.base) {
 			f.load.valid = false
 		}
+		// A register redefined after the compare no longer holds the
+		// compared value, so the branch must not refine it.
+		if f.cmp.lIsReg && o.Reg == f.cmp.lReg {
+			f.cmp.lIsReg = false
+		}
+		if f.cmp.rIsReg && o.Reg == f.cmp.rReg {
+			f.cmp.rIsReg = false
+		}
 	}
 	clearFlags := func() { f.cmp.valid = false }
+	// moveESP is the emulator's stack-pointer arithmetic; an
+	// unreachable (⊥) stack pointer stays ⊥.
+	moveESP := func(d int32) {
+		if st[isa.ESP].kind != avBot {
+			setReg(isa.R(isa.ESP), sp.addAv(st[isa.ESP], avK(uint32(d))))
+		}
+	}
 	switch in.Op {
 	case isa.MOV:
 		v, rec := sp.evalOperand(in.Src, st)
@@ -409,8 +450,15 @@ func (sp *surfacePass) transfer(in isa.Instr, st *asState, f *blockFacts) {
 				setReg(in.Dst, topV)
 			}
 		}
-	case isa.LEA, isa.POP:
+	case isa.LEA:
 		setReg(in.Dst, topV)
+	case isa.POP:
+		moveESP(4)
+		setReg(in.Dst, topV)
+	case isa.PUSH, isa.CALL:
+		moveESP(-4)
+	case isa.RET:
+		moveESP(4)
 	case isa.ADD:
 		a, _ := sp.evalOperand(in.Dst, st)
 		b, _ := sp.evalOperand(in.Src, st)
@@ -442,7 +490,9 @@ func (sp *surfacePass) transfer(in isa.Instr, st *asState, f *blockFacts) {
 	case isa.TEST:
 		clearFlags()
 	case isa.CALLAPI, isa.CALLAPIR:
+		// Stdcall: the callee pops its arguments.
 		setReg(isa.R(isa.EAX), topV)
+		moveESP(int32(4 * in.NArgs))
 	}
 }
 
@@ -587,7 +637,7 @@ func resolveIndirect(cfg *CFG, s *APISurface) bool {
 			return false // row masks are uint64; refuse, stay sound
 		}
 	}
-	sp := &surfacePass{cfg: cfg, loader: loader}
+	sp := &surfacePass{loader: loader}
 	prog := cfg.Prog
 	labels := prog.Labels()
 	nb := cfg.NumBlocks()

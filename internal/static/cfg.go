@@ -5,11 +5,14 @@
 // text alone, in the style of static system-call-identification work
 // (B-Side et al., see PAPERS.md):
 //
-//   - CFG construction (basic blocks, successors, reverse postorder),
-//     a dominator tree, reaching definitions / def-use chains over
-//     registers, flags, and symbolic memory operands, and
-//     intraprocedural constant propagation (cfg.go, dom.go, defuse.go,
-//     constprop.go);
+//   - CFG construction (basic blocks, successors, reverse postorder)
+//     and reaching definitions / def-use chains over registers, flags,
+//     and symbolic memory operands (cfg.go, defuse.go);
+//   - API-surface recovery, the Phase-0 triage pass: a forward
+//     dataflow over an abstract domain that folds constants, tracks
+//     ESP, and reads the loader image, resolving which APIs a program
+//     can call, including through computed addresses (apisurface.go).
+//     Its transfer is the package's one constant folder;
 //   - a static taint pre-filter deciding, per resource-API callsite,
 //     whether the call's result can possibly reach a cmp/test + jcc
 //     predicate — Phase-I skips emulating samples the pass proves
@@ -17,7 +20,8 @@
 //   - a static backward slice over-approximating the dynamic slices of
 //     determinism analysis, used to cross-check soundness (slice.go);
 //   - a slice verifier rejecting non-replayable extracted slices
-//     before they are packed and distributed to end hosts (verify.go).
+//     before they are packed and distributed to end hosts; it resolves
+//     addresses with the surface pass's transfer (verify.go).
 //
 // Every analysis here is a MAY (over-approximating) analysis: whatever
 // the dynamic pipeline observes is contained in what the static pass
@@ -168,14 +172,6 @@ func BuildCFG(p *isa.Program) (*CFG, error) {
 		cfg.RPO[len(post)-1-i] = b
 	}
 	return cfg, nil
-}
-
-// Entry returns the entry block.
-func (c *CFG) Entry() *Block {
-	if len(c.Blocks) == 0 {
-		return nil
-	}
-	return c.Blocks[0]
 }
 
 // NumBlocks returns the block count.

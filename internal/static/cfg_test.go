@@ -142,92 +142,6 @@ b2 [2,3) -> [1]
 	}
 }
 
-func TestDominatorsGolden(t *testing.T) {
-	tests := []struct {
-		name  string
-		build func(t *testing.T) *isa.Program
-		// idom[i] is block i's immediate dominator (-1 = none/entry).
-		idom []int
-	}{
-		{
-			name:  "diamond",
-			build: diamond,
-			idom:  []int{-1, 0, 0, 0}, // the join is dominated by the fork, not a branch
-		},
-		{
-			name: "loop",
-			build: func(t *testing.T) *isa.Program {
-				b := isa.NewBuilder("loop")
-				b.Mov(isa.R(isa.ECX), isa.Imm(3)).
-					Label("loop").Dec(isa.R(isa.ECX)).
-					Jnz("loop").
-					Halt()
-				p, err := b.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-			idom: []int{-1, 0, 1},
-		},
-		{
-			name: "unreachable block has no dominator",
-			build: func(t *testing.T) *isa.Program {
-				b := isa.NewBuilder("dead")
-				b.Jmp("end").
-					Mov(isa.R(isa.EAX), isa.Imm(1)).
-					Label("end").Halt()
-				p, err := b.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			},
-			idom: []int{-1, -1, 0},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg, err := static.BuildCFG(tt.build(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dom := static.Dominators(cfg)
-			if len(dom.Idom) != len(tt.idom) {
-				t.Fatalf("got %d blocks, want %d", len(dom.Idom), len(tt.idom))
-			}
-			for i, want := range tt.idom {
-				if dom.Idom[i] != want {
-					t.Errorf("idom[b%d] = %d, want %d", i, dom.Idom[i], want)
-				}
-			}
-		})
-	}
-}
-
-func TestDominates(t *testing.T) {
-	cfg, err := static.BuildCFG(diamond(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := static.Dominators(cfg)
-	checks := []struct {
-		a, b int
-		want bool
-	}{
-		{0, 0, true},  // reflexive
-		{0, 3, true},  // fork dominates join
-		{1, 3, false}, // a branch does not dominate the join
-		{2, 3, false},
-		{3, 1, false},
-	}
-	for _, c := range checks {
-		if got := dom.Dominates(c.a, c.b); got != c.want {
-			t.Errorf("Dominates(b%d, b%d) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestCFGRejectsInvalidProgram(t *testing.T) {
 	p := &isa.Program{Name: "bad", Instrs: []isa.Instr{{Op: isa.JMP, Target: "nowhere"}}}
 	if _, err := static.BuildCFG(p); err == nil {

@@ -251,12 +251,6 @@ func (d *DefUse) transfer(i int, st []bitset) {
 	}
 }
 
-// UsesAt returns instruction i's abstract use set.
-func (d *DefUse) UsesAt(i int) []Loc { return d.uses[i] }
-
-// DefsAt returns instruction i's abstract def set.
-func (d *DefUse) DefsAt(i int) []Loc { return d.defs[i] }
-
 // DefsOf returns the instruction indices whose definition of loc may
 // reach a use at instruction i, in ascending order. Memory aliasing is
 // folded in: a symbolic item's reads also see coarse-memory writers,

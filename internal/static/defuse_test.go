@@ -1,7 +1,6 @@
 package static_test
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -204,123 +203,5 @@ func TestBackwardSliceDropsIrrelevantDefs(t *testing.T) {
 	want := map[int]bool{0: true, 1: true, 3: true}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("BackwardSlice(3) = %v, want %v", got, want)
-	}
-}
-
-func TestConstProp(t *testing.T) {
-	// 0: mov eax,2 / 1: shl eax,3 / 2: add eax,1 / 3: mov ebx,eax / 4: halt
-	b := isa.NewBuilder("cp")
-	b.Mov(isa.R(isa.EAX), isa.Imm(2)).
-		Shl(isa.R(isa.EAX), isa.Imm(3)).
-		Add(isa.R(isa.EAX), isa.Imm(1)).
-		Mov(isa.R(isa.EBX), isa.R(isa.EAX)).
-		Halt()
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := static.BuildCFG(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := static.BuildConstProp(cfg)
-	checks := []struct {
-		pc   int
-		reg  isa.Reg
-		val  uint32
-		konw bool
-	}{
-		{1, isa.EAX, 2, true},
-		{2, isa.EAX, 16, true},
-		{3, isa.EAX, 17, true},
-		{4, isa.EBX, 17, true},
-	}
-	for _, c := range checks {
-		v, ok := cp.ConstAt(c.pc, c.reg)
-		if ok != c.konw || (ok && v != c.val) {
-			t.Errorf("ConstAt(%d, %s) = %d,%v; want %d,%v", c.pc, c.reg, v, ok, c.val, c.konw)
-		}
-	}
-}
-
-func TestConstPropBranchMergeIsNotConstant(t *testing.T) {
-	// ebx is 1 on one arm and 2 on the other — at the join it must not
-	// be reported constant.
-	b := isa.NewBuilder("cp-merge")
-	b.Cmp(isa.R(isa.EAX), isa.Imm(0)).
-		Jz("else").
-		Mov(isa.R(isa.EBX), isa.Imm(1)).
-		Jmp("join").
-		Label("else").Mov(isa.R(isa.EBX), isa.Imm(2)).
-		Label("join").Halt() // pc 5
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := static.BuildCFG(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := static.BuildConstProp(cfg)
-	if v, ok := cp.ConstAt(5, isa.EBX); ok {
-		t.Errorf("ConstAt(join, ebx) = %d claimed constant across diverging arms", v)
-	}
-}
-
-func TestConstPropMovbMergesLowByte(t *testing.T) {
-	// movb writes only the low byte, exactly as the emulator does.
-	b := isa.NewBuilder("cp-movb")
-	b.Mov(isa.R(isa.EAX), isa.Imm(0x11223344)).
-		Movb(isa.R(isa.EAX), isa.Imm(0x55)).
-		Halt() // pc 2
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := static.BuildCFG(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := static.BuildConstProp(cfg)
-	v, ok := cp.ConstAt(2, isa.EAX)
-	if !ok || v != 0x11223355 {
-		t.Errorf("ConstAt(2, eax) = %#x,%v; want 0x11223355,true", v, ok)
-	}
-}
-
-// TestConstPropAgreesWithALU spot-checks the wrap and shift-mask
-// semantics against the same arithmetic the emulator performs.
-func TestConstPropAgreesWithALU(t *testing.T) {
-	cases := []struct {
-		emit func(b *isa.Builder)
-		want uint32
-	}{
-		{func(b *isa.Builder) { // sub wraps below zero
-			b.Mov(isa.R(isa.EAX), isa.Imm(1)).Sub(isa.R(isa.EAX), isa.Imm(3))
-		}, 0xFFFFFFFE},
-		{func(b *isa.Builder) { // shift count masked by &31
-			b.Mov(isa.R(isa.EAX), isa.Imm(1)).Shl(isa.R(isa.EAX), isa.Imm(33))
-		}, 2},
-		{func(b *isa.Builder) { // xor self clears
-			b.Mov(isa.R(isa.EAX), isa.Imm(0xDEAD)).Xor(isa.R(isa.EAX), isa.R(isa.EAX))
-		}, 0},
-	}
-	for i, c := range cases {
-		b := isa.NewBuilder(fmt.Sprintf("alu-%d", i))
-		c.emit(b)
-		b.Halt()
-		p, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := static.BuildCFG(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := static.BuildConstProp(cfg)
-		halt := len(p.Instrs) - 1
-		if v, ok := cp.ConstAt(halt, isa.EAX); !ok || v != c.want {
-			t.Errorf("case %d: ConstAt = %#x,%v; want %#x,true", i, v, ok, c.want)
-		}
 	}
 }

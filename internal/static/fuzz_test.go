@@ -85,9 +85,10 @@ func FuzzSliceVerifier(f *testing.F) {
 // FuzzAPISurface feeds mutated programs to the Phase-0 surface
 // recovery. Triage fronts every corpus run, so arbitrary program
 // shapes must produce a surface or an error, never a panic or a hang
-// (the pass has an explicit iteration bailout); and whatever comes
-// back must be self-consistent: a non-⊤ surface contains exactly its
-// listed APIs.
+// (the pass has an explicit iteration bailout); whatever comes back
+// must be self-consistent (a non-⊤ surface contains exactly its listed
+// APIs); and it must be sound against the emulator: a non-⊤ surface
+// contains every API a run of the program calls.
 func FuzzAPISurface(f *testing.F) {
 	// Seed with a real hash-resolving program (the CALLAPIR-heavy
 	// shape) and a direct-call family sample.
@@ -107,6 +108,11 @@ func FuzzAPISurface(f *testing.F) {
 	// Degenerate shapes.
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Name":"x","Instrs":[{"Op":255}]}`))
+	// A call through a constant ESP (the pop case of
+	// TestSurfaceAgreesWithEmulator).
+	if raw, err := json.Marshal(surfaceProgram(f, popProbe(exportRow(f, "CreateMutexA")))); err == nil {
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var p isa.Program
@@ -126,6 +132,16 @@ func FuzzAPISurface(f *testing.F) {
 		for _, api := range surf.APIs {
 			if !surf.Contains(api) {
 				t.Fatalf("surface lists %s but Contains rejects it", api)
+			}
+		}
+		tr, err := emu.Run(&p, winenv.New(winenv.DefaultIdentity()),
+			emu.Options{Seed: 1, MaxSteps: 20_000})
+		if err != nil {
+			t.Skip()
+		}
+		for _, c := range tr.Calls {
+			if !surf.Contains(c.API) {
+				t.Fatalf("run called %s at pc %d; the surface %v omits it", c.API, c.CallerPC, surf.APIs)
 			}
 		}
 	})

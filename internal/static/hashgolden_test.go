@@ -1,7 +1,6 @@
 package static_test
 
 import (
-	"slices"
 	"testing"
 
 	"autovac/internal/emu"
@@ -23,50 +22,13 @@ func emitHashChain(b *isa.Builder, name string) {
 	}
 }
 
-// loaderHashAPIs are the hashed names both golden tests resolve; all
+// loaderHashAPIs are the hashed names the golden test resolves; all
 // four are kernel32.dll exports in the loader image.
 var loaderHashAPIs = []string{
 	"CreateMutexA",
 	"OpenMutexA",
 	"GetTickCount",
 	"GetFileAttributesA",
-}
-
-// TestConstPropRecoversLoaderHashes checks BuildConstProp against the
-// runtime: constant propagation over the emitted rol/xor chain must
-// recover exactly the value emu.LoaderHash computes — the value in the
-// loader image's export rows. It pins const-prop's transfer functions
-// and the alu arithmetic they share with Phase-0 triage (a changed
-// basis, a different rotate decomposition, a SHL/SHR/OR/XOR bug).
-// Triage itself folds constants in its own domain (apisurface.go), so
-// TestSurfaceResolvesComputedHashCall checks the same chains through
-// RecoverAPISurface.
-func TestConstPropRecoversLoaderHashes(t *testing.T) {
-	names := append(slices.Clone(loaderHashAPIs), "A") // "A": one rotate round
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			b := isa.NewBuilder("hash-golden")
-			emitHashChain(b, name)
-			b.Halt()
-			prog, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg, err := static.BuildCFG(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp := static.BuildConstProp(cfg)
-			halt := len(prog.Instrs) - 1
-			got, ok := cp.ConstAt(halt, isa.EDX)
-			if !ok {
-				t.Fatalf("EDX not constant at the end of the chain")
-			}
-			if want := emu.LoaderHash(name); got != want {
-				t.Errorf("static hash %#x, runtime emu.LoaderHash = %#x", got, want)
-			}
-		})
-	}
 }
 
 // TestSurfaceResolvesComputedHashCall runs the whole idiom through the

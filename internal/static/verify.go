@@ -91,54 +91,62 @@ func VerifySlice(p *isa.Program, resultAddr uint32, reg *winapi.Registry) error 
 	}
 	labels := p.Labels()
 
-	// Register state for address resolution: emulator reset values.
-	var st [isa.NumRegs]cval
+	// Register state for address resolution: emulator reset values,
+	// walked through the Phase-0 surface pass's transfer.
+	sp := &surfacePass{loader: emu.Loader()}
+	var st asState
 	for r := range st {
-		st[r] = konst(0)
+		st[r] = avK(0)
 	}
-	st[isa.ESP] = konst(emu.StackTop)
+	st[isa.ESP] = avK(emu.StackTop)
+	var facts blockFacts
 
 	fail := func(pc int, rule, format string, args ...interface{}) error {
 		return &SliceError{Slice: p.Name, PC: pc, Rule: rule, Msg: fmt.Sprintf(format, args...)}
 	}
 	// addrOf resolves a memory operand to a constant address if the
 	// walk knows enough.
-	addrOf := func(o isa.Operand) cval {
-		a := konst(o.Imm)
+	addrOf := func(o isa.Operand) (uint32, bool) {
+		a := o.Imm
 		if o.Sym != "" {
 			base, ok := layout.Symbols[o.Sym]
 			if !ok {
-				return nac()
+				return 0, false
 			}
-			a = konst(base + o.Imm)
+			a += base
 		}
 		if o.HasBase {
-			a = alu(isa.ADD, a, st[o.Reg])
+			if st[o.Reg].kind != avConst {
+				return 0, false
+			}
+			a += st[o.Reg].v
 		}
-		return a
+		return a, true
 	}
 	checkAccess := func(pc int, o isa.Operand, size uint32, write bool) error {
 		if o.Kind != isa.KindMem {
 			return nil
 		}
-		a := addrOf(o)
-		if a.kind != cConst {
+		a, ok := addrOf(o)
+		if !ok {
 			return nil // unresolvable: accept
 		}
-		if !layout.Mapped(a.v, size) {
-			return fail(pc, RuleMemBounds, "%v access at %#x+%d is unmapped", o, a.v, size)
+		if !layout.Mapped(a, size) {
+			return fail(pc, RuleMemBounds, "%v access at %#x+%d is unmapped", o, a, size)
 		}
-		if write && !layout.Writable(a.v, size) {
-			return fail(pc, RuleMemBounds, "%v write at %#x hits read-only data", o, a.v)
+		if write && !layout.Writable(a, size) {
+			return fail(pc, RuleMemBounds, "%v write at %#x hits read-only data", o, a)
 		}
 		return nil
 	}
-	checkStack := func(pc int, a cval, size uint32) error {
-		if a.kind != cConst {
+	// checkStack checks a size-byte stack access at ESP+off.
+	checkStack := func(pc int, off int32, size uint32) error {
+		if st[isa.ESP].kind != avConst {
 			return nil
 		}
-		if !layout.Mapped(a.v, size) {
-			return fail(pc, RuleStackBal, "stack access at %#x+%d outside the mapped stack", a.v, size)
+		a := st[isa.ESP].v + uint32(off)
+		if !layout.Mapped(a, size) {
+			return fail(pc, RuleStackBal, "stack access at %#x+%d outside the mapped stack", a, size)
 		}
 		return nil
 	}
@@ -152,32 +160,32 @@ func VerifySlice(p *isa.Program, resultAddr uint32, reg *winapi.Registry) error 
 				return fail(pc, RuleControlFlow, "%s %s targets pc %d: backward edge (potential replay loop)", in.Op, in.Target, t)
 			}
 			if in.Op == isa.CALL {
-				if err := checkStack(pc, alu(isa.SUB, st[isa.ESP], konst(4)), 4); err != nil {
+				if err := checkStack(pc, -4, 4); err != nil {
 					return err
 				}
 				depth++
 			}
 			// Branching invalidates the straight-line constant state.
 			for r := range st {
-				st[r] = nac()
+				st[r] = topV
 			}
 		case isa.RET:
 			depth--
 			if depth < 0 {
 				return fail(pc, RuleStackBal, "ret without matching call")
 			}
-			if err := checkStack(pc, st[isa.ESP], 4); err != nil {
+			if err := checkStack(pc, 0, 4); err != nil {
 				return err
 			}
 		case isa.PUSH:
-			if err := checkStack(pc, alu(isa.SUB, st[isa.ESP], konst(4)), 4); err != nil {
+			if err := checkStack(pc, -4, 4); err != nil {
 				return err
 			}
 			if err := checkAccess(pc, in.Dst, 4, false); err != nil {
 				return err
 			}
 		case isa.POP:
-			if err := checkStack(pc, st[isa.ESP], 4); err != nil {
+			if err := checkStack(pc, 0, 4); err != nil {
 				return err
 			}
 			if err := checkAccess(pc, in.Dst, 4, true); err != nil {
@@ -201,7 +209,7 @@ func VerifySlice(p *isa.Program, resultAddr uint32, reg *winapi.Registry) error 
 				return fail(pc, RuleAPIAllow, "%s terminates the replaying process", in.API)
 			}
 			if in.NArgs > 0 {
-				if err := checkStack(pc, st[isa.ESP], uint32(4*in.NArgs)); err != nil {
+				if err := checkStack(pc, 0, uint32(4*in.NArgs)); err != nil {
 					return err
 				}
 			}
@@ -231,7 +239,7 @@ func VerifySlice(p *isa.Program, resultAddr uint32, reg *winapi.Registry) error 
 				return err
 			}
 		}
-		st = constTransfer(in, st)
+		sp.transfer(in, &st, &facts)
 	}
 	if depth != 0 {
 		return fail(-1, RuleStackBal, "%d call(s) without matching ret", depth)

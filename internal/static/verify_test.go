@@ -234,3 +234,80 @@ func TestVerifySliceAcceptsBalancedCall(t *testing.T) {
 		t.Fatalf("balanced forward call rejected: %v", err)
 	}
 }
+
+// TestVerifySliceStackWalk pins the stack-balance walk with a known
+// ESP. The walk starts at emu.StackTop, and the stack segment ends 16
+// bytes above it, so four POPs from entry fit and a fifth reads past
+// the segment.
+func TestVerifySliceStackWalk(t *testing.T) {
+	tests := []struct {
+		name     string
+		prologue func(b *isa.Builder, arg isa.Operand)
+		pops     int
+		rule     string // "" accepts
+	}{
+		{name: "four pops from entry", pops: 4},
+		{name: "a fifth pop leaves the segment", pops: 5, rule: static.RuleStackBal},
+		{
+			name:     "a leading push allows five pops",
+			prologue: func(b *isa.Builder, _ isa.Operand) { b.Push(isa.Imm(0)) },
+			pops:     5,
+		},
+		{
+			name:     "a leading push allows no sixth pop",
+			prologue: func(b *isa.Builder, _ isa.Operand) { b.Push(isa.Imm(0)) },
+			pops:     6,
+			rule:     static.RuleStackBal,
+		},
+		{
+			name:     "a one-argument callapi is net zero",
+			prologue: func(b *isa.Builder, arg isa.Operand) { b.CallAPI("lstrlenA", arg) },
+			pops:     5,
+			rule:     static.RuleStackBal,
+		},
+		{
+			// CALL is a branch: the walk forgets ESP, so no POP after it
+			// can be checked.
+			name: "call and ret reset the walk",
+			prologue: func(b *isa.Builder, _ isa.Operand) {
+				b.Call("helper").Jmp("body").Label("helper").Ret().Label("body")
+			},
+			pops: 6,
+		},
+		{
+			// RET pops its return address: from StackTop+8 one POP
+			// still fits, a second does not.
+			name: "ret pops the return address",
+			prologue: func(b *isa.Builder, _ isa.Operand) {
+				b.Call("helper").Halt().
+					Label("helper").Mov(isa.R(isa.ESP), isa.Imm(emu.StackTop+8)).Ret()
+			},
+			pops: 2,
+			rule: static.RuleStackBal,
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := isa.NewBuilder("stack-walk")
+			out := b.Buf("out", 8)
+			if tt.prologue != nil {
+				tt.prologue(b, isa.Sym(out))
+			}
+			for i := 0; i < tt.pops; i++ {
+				b.Pop(isa.R(isa.EAX))
+			}
+			p, err := b.Halt().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = static.VerifySlice(p, emu.Layout(p).Symbols[out], nil)
+			if tt.rule == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			wantRule(t, err, tt.rule)
+		})
+	}
+}

@@ -182,15 +182,6 @@ func (t *Table) Add(info SourceInfo) Source {
 	return src
 }
 
-// SetSuccess updates the success flag of an existing record (the label
-// is allocated before the API implementation runs, so the outcome is
-// back-filled).
-func (t *Table) SetSuccess(src Source, ok bool) {
-	if int(src) < len(t.infos) {
-		t.infos[src].Success = ok
-	}
-}
-
 // Reserve allocates a label whose provenance will be back-filled with
 // Fill once the API call completes (the label must exist before the
 // implementation runs so output writes can carry it).

@@ -265,9 +265,3 @@ func NetworkAPIs() []string {
 		"InternetOpenA", "InternetOpenUrlA", "InternetReadFile",
 	}
 }
-
-// DomainAPIs lists the name-taking network APIs that carry a KindDomain
-// label in the StandardC2 registry.
-func DomainAPIs() []string {
-	return []string{"gethostbyname", "connect", "InternetOpenUrlA"}
-}
