@@ -45,6 +45,36 @@ func KeyOf(c trace.APICall) Key {
 	return Key{API: c.API, CallerPC: c.CallerPC, Params: strings.Join(parts, "|")}
 }
 
+// SameContexts reports whether two call lists agree call by call on
+// every field Align reads: API, caller PC, success, and each argument's
+// static flag and, for static arguments, the string (or the raw value
+// when there is no string). Align returns an empty diff for such a
+// pair, so a caller expecting equal traces can test this first and
+// skip building keys and the LCS table. It compares fields, not keys,
+// so it may answer false where the keys happen to match; Align is the
+// authority then.
+func SameContexts(a, b []trace.APICall) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.API != y.API || x.CallerPC != y.CallerPC || x.Success != y.Success || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for j := range x.Args {
+			p, q := &x.Args[j], &y.Args[j]
+			if p.Static != q.Static {
+				return false
+			}
+			if p.Static && (p.Str != q.Str || (p.Str == "" && p.Raw != q.Raw)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Flip is an aligned call pair whose success status differs between
 // the two executions: the call still happens, but its effect is
 // frustrated (a blocked persistence write, a denied driver drop).

@@ -164,3 +164,78 @@ func TestAlignProperties(t *testing.T) {
 		t.Errorf("symmetric: %v", err)
 	}
 }
+
+// SameContexts must never answer true where Align would find a
+// difference: it only lets a caller skip Align for traces Align would
+// call identical.
+func TestSameContextsImpliesEmptyAlign(t *testing.T) {
+	mk := func(idx []uint8) []trace.APICall {
+		out := make([]trace.APICall, len(idx))
+		for i, x := range idx {
+			out[i] = trace.APICall{
+				API: []string{"A", "B", "C"}[x%3], CallerPC: int(x % 5), Success: x%2 == 0,
+				Args: []trace.ArgValue{
+					{Raw: uint32(x), Static: true},
+					{Str: []string{"m", "n"}[x%2], Raw: 7, Static: true},
+					{Raw: 0x100, Static: false},
+				},
+			}
+		}
+		return out
+	}
+	// Fields outside the alignment context: sequence, return value,
+	// last error, identifier, dynamic argument values, taint, and the
+	// raw value behind a static string.
+	noise := func(calls []trace.APICall) []trace.APICall {
+		out := make([]trace.APICall, len(calls))
+		for i, c := range calls {
+			c.Seq, c.Ret, c.LastError, c.Identifier = i+100, 0xFFFF, 5, "other"
+			c.Args = append([]trace.ArgValue(nil), c.Args...)
+			c.Args[1].Raw = 99
+			c.Args[2].Raw, c.Args[2].Tainted = 0x200, true
+			out[i] = c
+		}
+		return out
+	}
+	equal := func(idx []uint8) bool {
+		a := mk(idx)
+		b := noise(a)
+		d := Align(a, b)
+		return SameContexts(a, b) && d.Empty() && d.Aligned == len(a)
+	}
+	implies := func(x, y []uint8) bool {
+		a, b := mk(x), mk(y)
+		if !SameContexts(a, b) {
+			return true
+		}
+		d := Align(a, b)
+		return d.Empty() && d.Aligned == len(a)
+	}
+	cfg := &quick.Config{MaxCount: 200}
+	if err := quick.Check(equal, cfg); err != nil {
+		t.Errorf("noise outside the context: %v", err)
+	}
+	if err := quick.Check(implies, cfg); err != nil {
+		t.Errorf("SameContexts true with a non-empty diff: %v", err)
+	}
+	// Each context field breaks sameness.
+	base := mk([]uint8{1, 2})
+	for name, edit := range map[string]func(*trace.APICall){
+		"api":        func(c *trace.APICall) { c.API = "Z" },
+		"caller":     func(c *trace.APICall) { c.CallerPC = 42 },
+		"success":    func(c *trace.APICall) { c.Success = !c.Success },
+		"static raw": func(c *trace.APICall) { c.Args[0].Raw = 42 },
+		"static str": func(c *trace.APICall) { c.Args[1].Str = "q" },
+		"static":     func(c *trace.APICall) { c.Args[2].Static = true },
+		"arity":      func(c *trace.APICall) { c.Args = c.Args[:2] },
+	} {
+		b := noise(base)
+		edit(&b[1])
+		if SameContexts(base, b) {
+			t.Errorf("%s change left the contexts the same", name)
+		}
+	}
+	if SameContexts(base, base[:1]) {
+		t.Error("different lengths compared the same")
+	}
+}

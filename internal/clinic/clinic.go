@@ -12,6 +12,7 @@ package clinic
 
 import (
 	"fmt"
+	"sync"
 
 	"autovac/internal/alignment"
 	"autovac/internal/deploy"
@@ -32,8 +33,12 @@ type Rejection struct {
 	Reason string
 }
 
-// String renders the rejection.
+// String renders the rejection. A vaccine that never deployed
+// interfered with no program, so it renders as a deployment failure.
 func (r Rejection) String() string {
+	if r.Program == "" {
+		return fmt.Sprintf("%s: %s", r.Vaccine, r.Reason)
+	}
 	return fmt.Sprintf("%s interferes with %s: %s", r.Vaccine, r.Program, r.Reason)
 }
 
@@ -57,66 +62,123 @@ type Config struct {
 	Identity winenv.HostIdentity
 }
 
-// Run executes the clinic test: every candidate vaccine is deployed
-// (direct injection or daemon, per its delivery class) into an
-// environment exercising the whole benign suite. Vaccines are tested
-// individually so one bad vaccine cannot shadow another.
+// Run executes the clinic test once: it prepares a Suite for benign
+// and runs the vaccines through it. Callers that test many vaccine
+// sets against one suite keep the Suite instead.
 func Run(vaccines []vaccine.Vaccine, benign []*malware.Sample, cfg Config) (*Report, error) {
+	s, err := NewSuite(benign, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(vaccines), nil
+}
+
+// Suite is a prepared clinic: the benign programs with their baseline
+// traces, recorded once, and a pool of arenas the vaccine tests run
+// in. A Suite is safe for concurrent use.
+type Suite struct {
+	programs  []*malware.Sample
+	baselines []*trace.Trace
+	opts      emu.Options
+	arenas    sync.Pool
+}
+
+// arena is one prepared benign host: a fresh environment with the
+// benign suite's files and keys, and a base snapshot of that state
+// held open for its whole life. It belongs to one goroutine at a time.
+type arena struct {
+	env  *winenv.Env
+	base *winenv.Snapshot
+}
+
+// NewSuite prepares the clinic for a benign suite: it records each
+// program's baseline trace against a pristine benign host.
+func NewSuite(benign []*malware.Sample, cfg Config) (*Suite, error) {
 	if cfg.Identity == (winenv.HostIdentity{}) {
 		cfg.Identity = winenv.DefaultIdentity()
 	}
-	rep := &Report{ProgramsTested: len(benign)}
-
-	// Baseline traces per benign program, against a pristine host.
-	baselines := make([]*trace.Trace, len(benign))
-	for i, b := range benign {
+	s := &Suite{
+		programs:  benign,
+		baselines: make([]*trace.Trace, len(benign)),
+		opts:      emu.Options{Seed: cfg.Seed, MaxSteps: cfg.MaxSteps},
+	}
+	s.arenas.New = func() any {
 		env := winenv.New(cfg.Identity)
 		malware.PrepareBenignEnv(env)
-		tr, err := emu.Run(b.Program, env, emu.Options{Seed: cfg.Seed, MaxSteps: cfg.MaxSteps})
+		return &arena{env: env, base: env.Snapshot()}
+	}
+	a := s.arenas.Get().(*arena)
+	for i, b := range benign {
+		tr, err := emu.Run(b.Program, a.env, s.opts)
+		a.env.Reset(a.base)
 		if err != nil {
 			return nil, fmt.Errorf("clinic: baseline %s: %w", b.Name(), err)
 		}
-		baselines[i] = tr
+		s.baselines[i] = tr
 	}
-
-	for i := range vaccines {
-		v := vaccines[i]
-		if rej := testOne(&v, benign, baselines, cfg); rej != nil {
-			rep.Rejected = append(rep.Rejected, *rej)
-		} else {
-			rep.Passed = append(rep.Passed, v)
-		}
-	}
-	return rep, nil
+	s.arenas.Put(a)
+	return s, nil
 }
 
-// testOne deploys a single vaccine and runs the suite against it. Each
-// benign program gets a freshly vaccinated environment (environment
-// clones do not carry interception hooks, and program runs must not
-// interfere with each other).
-func testOne(v *vaccine.Vaccine, benign []*malware.Sample, baselines []*trace.Trace, cfg Config) *Rejection {
-	for i, b := range benign {
-		env := winenv.New(cfg.Identity)
-		malware.PrepareBenignEnv(env)
-		d := deploy.NewDaemon(env, cfg.Seed)
-		if err := d.Install(*v); err != nil {
-			return &Rejection{Vaccine: v.ID, Reason: fmt.Sprintf("deployment failed: %v", err)}
-		}
-		tr, err := emu.Run(b.Program, env, emu.Options{Seed: cfg.Seed, MaxSteps: cfg.MaxSteps})
-		if err != nil {
-			return &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: err.Error()}
-		}
-		if rej := compare(baselines[i], tr); rej != "" {
-			return &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: rej}
+// Run tests every candidate vaccine: each is deployed (direct
+// injection or daemon, per its delivery class) into an arena that then
+// runs the whole benign suite. Vaccines are tested individually so one
+// bad vaccine cannot shadow another.
+func (s *Suite) Run(vaccines []vaccine.Vaccine) *Report {
+	rep := &Report{ProgramsTested: len(s.programs)}
+	a := s.arenas.Get().(*arena)
+	for i := range vaccines {
+		if rej := s.testOne(a, &vaccines[i]); rej != nil {
+			rep.Rejected = append(rep.Rejected, *rej)
+		} else {
+			rep.Passed = append(rep.Passed, vaccines[i])
 		}
 	}
-	return nil
+	// A test that panics never gets here, so its half-rewound arena is
+	// dropped rather than pooled.
+	s.arenas.Put(a)
+	return rep
+}
+
+// testOne deploys a single vaccine into the arena and runs the suite
+// against it. Every program starts from the freshly vaccinated state:
+// the arena rewinds to a snapshot taken right after deployment, and to
+// its base once the vaccine is done.
+func (s *Suite) testOne(a *arena, v *vaccine.Vaccine) *Rejection {
+	if len(s.programs) == 0 {
+		return nil
+	}
+	env := a.env
+	if err := deploy.NewDaemon(env, s.opts.Seed).Install(*v); err != nil {
+		env.Reset(a.base)
+		return &Rejection{Vaccine: v.ID, Reason: fmt.Sprintf("deployment failed: %v", err)}
+	}
+	vaccinated := env.Snapshot()
+	var rej *Rejection
+	for i, b := range s.programs {
+		tr, err := emu.Run(b.Program, env, s.opts)
+		env.Reset(vaccinated)
+		if err != nil {
+			rej = &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: err.Error()}
+			break
+		}
+		if reason := compare(s.baselines[i], tr); reason != "" {
+			rej = &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: reason}
+			break
+		}
+	}
+	vaccinated.Close()
+	env.Reset(a.base)
+	return rej
 }
 
 // compare decides whether a vaccinated run deviates from the baseline.
 func compare(base, got *trace.Trace) string {
 	if base.Exit != got.Exit {
 		return fmt.Sprintf("exit changed: %v -> %v", base.Exit, got.Exit)
+	}
+	if alignment.SameContexts(got.Calls, base.Calls) {
+		return ""
 	}
 	d := alignment.AlignTraces(got, base)
 	if !d.Empty() {

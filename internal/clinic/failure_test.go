@@ -31,4 +31,10 @@ func TestUndeployableVaccineRejected(t *testing.T) {
 	if len(rep.Rejected) != 1 {
 		t.Fatalf("invalid vaccine not rejected: %+v", rep)
 	}
+	// It never deployed, so it names no program it interfered with.
+	got := rep.Rejected[0].String()
+	want := "test/mutex/0: deployment failed: vaccine test/mutex/0: static without identifier"
+	if got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 }

@@ -29,6 +29,9 @@ func fingerprintResults(rs []*Result) []string {
 		for _, v := range r.Vaccines {
 			line += " " + v.String()
 		}
+		for _, rej := range r.ClinicRejections {
+			line += " clinic(" + rej.String() + ")"
+		}
 		out = append(out, line)
 	}
 	return out
@@ -36,24 +39,30 @@ func fingerprintResults(rs []*Result) []string {
 
 func TestAnalyzeAllMatchesSerial(t *testing.T) {
 	samples := corpus(t, 24)
-	p := New(Config{Seed: 5})
-
-	serial, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 1})
+	benign, err := malware.BenignCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		parallel, _, err := p.AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: workers})
+	// With the clinic on, the workers of each fresh pipeline race to
+	// build its clinic suite and then share it.
+	for _, cfg := range []Config{{Seed: 5}, {Seed: 5, Benign: benign[:8]}} {
+		serial, _, err := New(cfg).AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := fingerprintResults(serial), fingerprintResults(parallel)
-		if len(a) != len(b) {
-			t.Fatalf("workers=%d: %d vs %d results", workers, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("workers=%d sample %d differs:\n  %s\n  %s", workers, i, a[i], b[i])
+		for _, workers := range []int{2, 4, 8} {
+			parallel, _, err := New(cfg).AnalyzeCorpus(context.Background(), samples, CorpusOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := fingerprintResults(serial), fingerprintResults(parallel)
+			if len(a) != len(b) {
+				t.Fatalf("clinic=%v workers=%d: %d vs %d results", cfg.Benign != nil, workers, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Errorf("clinic=%v workers=%d sample %d differs:\n  %s\n  %s", cfg.Benign != nil, workers, i, a[i], b[i])
+				}
 			}
 		}
 	}

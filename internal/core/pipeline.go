@@ -12,9 +12,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"autovac/internal/c2"
 	"autovac/internal/clinic"
@@ -63,14 +65,23 @@ type Config struct {
 	C2 *c2.Scenario
 }
 
-// Pipeline runs AUTOVAC end to end. Its state is immutable after New,
-// so one Pipeline may analyse many samples concurrently (see
-// AnalyzeCorpus).
+// Pipeline runs AUTOVAC end to end. Its configuration is immutable
+// after New; the only state it builds later is the clinic suite, once
+// and under a sync.Once. One Pipeline may analyse many samples
+// concurrently (see AnalyzeCorpus).
 type Pipeline struct {
 	cfg Config
 	// registry is the shared labelled API set; it is read-only after
 	// construction and reused across every emulated execution.
 	registry *winapi.Registry
+
+	// clinic is the benign suite with its baselines, built by the first
+	// Phase2 with vaccines to test. Baselines depend only on the suite,
+	// seed and identity, which never change, so every sample shares
+	// them. clinicErr is sticky.
+	clinicOnce sync.Once
+	clinic     *clinic.Suite
+	clinicErr  error
 }
 
 // New creates a pipeline, applying defaults.
@@ -289,17 +300,30 @@ func (p *Pipeline) Phase2(prof *Profile) (*Result, error) {
 
 	// Malware clinic test (§IV-D).
 	if len(p.cfg.Benign) > 0 && len(res.Vaccines) > 0 {
-		rep, err := clinic.Run(res.Vaccines, p.cfg.Benign, clinic.Config{
-			Seed:     p.cfg.Seed,
-			Identity: p.cfg.Identity,
-		})
+		suite, err := p.clinicSuite()
 		if err != nil {
 			return nil, fmt.Errorf("core: clinic: %w", err)
 		}
+		rep := suite.Run(res.Vaccines)
 		res.Vaccines = rep.Passed
 		res.ClinicRejections = rep.Rejected
 	}
 	return res, nil
+}
+
+// clinicSuite returns the pipeline's clinic suite, recording the
+// benign baselines on first use.
+func (p *Pipeline) clinicSuite() (*clinic.Suite, error) {
+	p.clinicOnce.Do(func() {
+		// Stays set if NewSuite panics: the Once will not run again,
+		// and later samples must get an error, not a nil suite.
+		p.clinicErr = errors.New("benign baselines panicked")
+		p.clinic, p.clinicErr = clinic.NewSuite(p.cfg.Benign, clinic.Config{
+			Seed:     p.cfg.Seed,
+			Identity: p.cfg.Identity,
+		})
+	})
+	return p.clinic, p.clinicErr
 }
 
 // keyIdent returns the merge key component for a vaccine's identifier.

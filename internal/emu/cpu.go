@@ -99,7 +99,7 @@ type Options struct {
 	RecordSteps bool
 	// Seed drives the deterministic PRNG behind "random" APIs.
 	Seed uint64
-	// Registry is the API set; nil selects winapi.Standard().
+	// Registry is the API set; nil selects the shared winapi.Standard().
 	Registry *winapi.Registry
 	// Mutations are the forced API results for impact analysis.
 	Mutations []Mutation
@@ -114,6 +114,17 @@ type Options struct {
 
 // DefaultMaxSteps is the default instruction budget.
 const DefaultMaxSteps = 200_000
+
+// withDefaults fills the zero-valued budget and registry.
+func (o Options) withDefaults() Options {
+	if o.MaxSteps <= 0 {
+		o.MaxSteps = DefaultMaxSteps
+	}
+	if o.Registry == nil {
+		o.Registry = winapi.Standard()
+	}
+	return o
+}
 
 // CPU is the machine state of one execution. It implements
 // winapi.Machine.
@@ -161,12 +172,7 @@ func New(prog *isa.Program, env *winenv.Env, opts Options) (*CPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = DefaultMaxSteps
-	}
-	if opts.Registry == nil {
-		opts.Registry = winapi.Standard()
-	}
+	opts = opts.withDefaults()
 	c := &CPU{
 		prog:     prog,
 		code:     d.instrs,
@@ -192,15 +198,7 @@ func New(prog *isa.Program, env *winenv.Env, opts Options) (*CPU, error) {
 // arena's free tail. The caller is responsible for resetting the
 // environment.
 func (c *CPU) resetFor(opts Options) {
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = DefaultMaxSteps
-	}
-	if opts.Registry == nil {
-		// Reuse the previous run's registry instead of rebuilding the
-		// standard set: registries are stateless across runs, and this
-		// keeps the steady-state reset allocation-free.
-		opts.Registry = c.opts.Registry
-	}
+	opts = opts.withDefaults()
 	c.registry = opts.Registry
 	c.opts = opts
 	c.reg = [isa.NumRegs]uint32{}

@@ -105,7 +105,7 @@ func (s *segment) setTaint(off uint32, t taint.Set) {
 	i := off >> shadowPageBits
 	pg := s.shadow[i]
 	if pg == nil {
-		pg = make([]taint.Set, shadowPageSize)
+		pg = shadowPool.Get().(*shadowPage)[:]
 		s.shadow[i] = pg
 	}
 	pg[off&shadowPageMask] = t
@@ -125,6 +125,18 @@ func (s *segment) resetShadow() {
 	s.anyTaint = false
 }
 
+// releaseShadow clears the segment's shadow pages and returns them to
+// shadowPool.
+func (s *segment) releaseShadow() {
+	s.resetShadow()
+	for i, pg := range s.shadow {
+		if pg != nil {
+			shadowPool.Put((*shadowPage)(pg))
+			s.shadow[i] = nil
+		}
+	}
+}
+
 // stackPool recycles stack-segment buffers across executions. With
 // lazy shadows the 64 KB stack array is the dominant per-run
 // allocation; pooling it makes repeated Phase-II replays alloc-free.
@@ -133,6 +145,16 @@ var stackPool = sync.Pool{
 		b := make([]byte, int(StackSize)+16)
 		return &b
 	},
+}
+
+// shadowPage is one page of per-byte taint.
+type shadowPage [shadowPageSize]taint.Set
+
+// shadowPool recycles shadow pages across executions, so a one-shot
+// run that taints memory borrows its 24 KB pointer-ful pages instead
+// of allocating them. Pages are cleared before they go back.
+var shadowPool = sync.Pool{
+	New: func() any { return new(shadowPage) },
 }
 
 // memory is a small segmented address space. Segments are kept sorted
@@ -376,8 +398,8 @@ func (m *memory) reset() {
 	m.last = nil
 }
 
-// release returns pooled buffers. The memory must not be used
-// afterwards.
+// release returns pooled buffers: the stack and every shadow page.
+// The memory must not be used afterwards.
 func (m *memory) release() {
 	for _, s := range m.segs {
 		if s.pooled {
@@ -386,6 +408,7 @@ func (m *memory) release() {
 			s.pooled = false
 			stackPool.Put(&buf)
 		}
+		s.releaseShadow()
 	}
 	m.segs = nil
 	m.last = nil

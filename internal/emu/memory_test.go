@@ -305,3 +305,36 @@ func TestDeterministicLayoutAcrossLoads(t *testing.T) {
 		}
 	}
 }
+
+func TestReleasedShadowPagesCarryNoTaint(t *testing.T) {
+	m := &memory{}
+	m.mapSegment("rw", 0x1000, 2*shadowPageSize, false)
+	if err := m.writeWord(0x1000+8, 0xAA, taint.Of(4)); err != nil {
+		t.Fatal(err)
+	}
+	pg := m.segs[0].shadow[0]
+	m.release()
+	// The page went back to the pool cleared.
+	for i, set := range pg {
+		if !set.Empty() {
+			t.Fatalf("released page still tainted at offset %d: %v", i, set)
+		}
+	}
+	// A page the next run borrows starts clean around its own write.
+	next := &memory{}
+	next.mapSegment("rw", 0x1000, 2*shadowPageSize, false)
+	if err := next.writeByte(0x1000, 0xBB, taint.Of(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, tnt, _ := next.readWord(0x1000 + 8); !tnt.Empty() {
+		t.Errorf("recycled page carried taint %v into the next run", tnt)
+	}
+	// Once warm, borrowing and returning a page allocates nothing.
+	s, tnt := next.segs[0], taint.Of(6)
+	if n := testing.AllocsPerRun(100, func() {
+		s.setTaint(3, tnt)
+		s.releaseShadow()
+	}); n != 0 {
+		t.Errorf("borrowing a shadow page allocated %.0f objects", n)
+	}
+}

@@ -140,3 +140,40 @@ func TestRunnerSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("allocs per step = %.4f over %d steps, want 0", perStep, steps)
 	}
 }
+
+// taintWriter stores a labelled API's tainted result into .data and
+// onto the stack, so every run borrows a shadow page for each.
+func taintWriter() *isa.Program {
+	b := isa.NewBuilder("taint-writer")
+	b.RData("marker", "!ShadowProbe")
+	b.Buf("slot", 16)
+	b.CallAPI("OpenMutexA", isa.Sym("marker"))
+	b.Mov(isa.MemSym("slot"), isa.R(isa.EAX))
+	b.Push(isa.R(isa.EAX))
+	b.Pop(isa.R(isa.ECX))
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestOneShotRunSteadyStateBudget pins what a one-shot Run with a nil
+// Registry allocates once warm: it shares the standard registry instead
+// of rebuilding ~70 API specs (the rebuild alone is ~150 objects).
+func TestOneShotRunSteadyStateBudget(t *testing.T) {
+	prog := taintWriter()
+	env := winenv.New(winenv.DefaultIdentity())
+	env.SetEventLogging(false) // the event log would grow across runs
+	run := func() {
+		tr, err := Run(prog, env, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Exit != trace.ExitHalt {
+			t.Fatalf("exit = %v (fault %q)", tr.Exit, tr.Fault)
+		}
+	}
+	run()
+	const budget = 64
+	if n := testing.AllocsPerRun(20, run); n > budget {
+		t.Errorf("one-shot run allocated %.0f objects (budget %d)", n, budget)
+	}
+}

@@ -699,3 +699,12 @@ func TestGetTempFileName(t *testing.T) {
 		t.Error("GetTempFileNameA not ClassRandom")
 	}
 }
+
+func TestStandardRegistriesShared(t *testing.T) {
+	if Standard() != Standard() || StandardC2() != StandardC2() {
+		t.Error("standard registry rebuilt on a later call")
+	}
+	if Standard() == StandardC2() {
+		t.Error("Standard and StandardC2 share one registry")
+	}
+}

@@ -1,21 +1,35 @@
 package winapi
 
-// Standard assembles the full labelled API set: every file, registry,
+import "sync"
+
+// The standard sets are built once and shared by every caller.
+var (
+	standardSet   = sync.OnceValue(func() *Registry { return standard(false) })
+	standardC2Set = sync.OnceValue(func() *Registry { return standard(true) })
+)
+
+// Standard returns the full labelled API set: every file, registry,
 // mutex, process, service, window, library, network, host-information,
 // and string API this reproduction's programs call. It is the analogue
 // of the paper's examined-and-labelled Windows API table (§III-A).
 // Network APIs carry no resource label here, keeping legacy corpus
 // traces byte-identical.
+//
+// The registry is built on first use and shared process-wide, so
+// every call returns the same value. It is read-only: callers must not
+// Register on it or mutate the specs Lookup returns (build a private
+// set with NewRegistry instead). Concurrent reads are safe.
 func Standard() *Registry {
-	return standard(false)
+	return standardSet()
 }
 
 // StandardC2 is Standard with the name-taking network APIs additionally
 // labelled as winenv.KindDomain resources (see registerNet). The
 // pipeline selects it when a c2 scenario is attached, promoting C2
 // hostnames, host:port targets, and URLs to candidate vaccine material.
+// Like Standard, it returns one shared, read-only registry.
 func StandardC2() *Registry {
-	return standard(true)
+	return standardC2Set()
 }
 
 func standard(domainLabels bool) *Registry {
