@@ -383,7 +383,6 @@ func BenchmarkDaemonHookOverhead(b *testing.B) {
 	}
 	run := func(b *testing.B, n int) {
 		env := winenv.New(winenv.DefaultIdentity())
-		env.SetEventLogging(false)
 		if n > 0 {
 			d := core.New(core.Config{Seed: benchSeed}).NewDaemonFor(env)
 			for _, v := range patterns(n) {

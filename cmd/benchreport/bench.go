@@ -217,6 +217,35 @@ func runBench(outPath string) error {
 		}
 	})
 
+	// The malware clinic on five generated vaccines: the 41 benign
+	// programs run once per vaccine on the rewound benign host, so API
+	// dispatch dominates. The same body as the repository's
+	// BenchmarkClinicFalsePositiveTest.
+	_, profiles, err := setup.RunPhase1()
+	if err != nil {
+		return err
+	}
+	gen, err := setup.RunPhase2(profiles)
+	if err != nil {
+		return err
+	}
+	vs := gen.Vaccines
+	if len(vs) > 5 {
+		vs = vs[:5]
+	}
+	measure("ClinicFalsePositiveTest", &steps, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep, err := setup.FalsePositiveTest(vs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.ProgramsTested == 0 {
+				b.Fatal("no programs tested")
+			}
+		}
+	})
+
 	// Human-readable table alongside the JSON.
 	fmt.Printf("emulator bench trajectory (seed %d, %s/%s, %s)\n",
 		benchSeed, rep.GOOS, rep.GOARCH, rep.Go)

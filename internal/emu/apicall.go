@@ -35,8 +35,9 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 			api, spec.NArgs, nArgs, pc)
 	}
 
-	// Collect stack arguments ([esp] is the first).
-	args := make([]winapi.Arg, nArgs)
+	// Collect stack arguments ([esp] is the first) into the CPU's
+	// buffer: no implementation retains its args.
+	args := c.argBuf[:0]
 	esp := c.reg[isa.ESP]
 	for i := 0; i < nArgs; i++ {
 		addr := esp + uint32(4*i)
@@ -45,8 +46,9 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 			return -1, err
 		}
 		c.noteRead(trace.MemLoc(addr, 4), v, nil)
-		args[i] = winapi.Arg{Value: v, Taint: t}
+		args = append(args, winapi.Arg{Value: v, Taint: t})
 	}
+	c.argBuf = args
 
 	label := spec.Label
 
@@ -75,6 +77,13 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 			identAddr = args[label.IdentifierArg].Value
 			identInMemory = true
 		}
+	}
+
+	// The call log and the source table start sized for one call per
+	// call site; a run that makes no call keeps a nil log.
+	if c.tr.Calls == nil {
+		c.tr.Calls = make([]trace.APICall, 0, c.apiSites)
+		c.table.Grow(c.apiSites)
 	}
 
 	// Allocate the taint label for source APIs.
@@ -165,14 +174,8 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		call.TaintSources = []taint.Source{srcID}
 	}
 	call.Args = c.logArgs(label, args)
-	if identInMemory && identifier != "" && !mutated {
-		if taints, err := c.mem.byteTaints(identAddr, uint32(len(identifier))); err == nil {
-			perByte := make([][]taint.Source, len(taints))
-			for i, t := range taints {
-				perByte[i] = t.Sources()
-			}
-			call.IdentifierTaint = perByte
-		}
+	if identInMemory && !mutated {
+		call.IdentifierTaint = c.mem.byteSources(identAddr, uint32(len(identifier)))
 	}
 	c.tr.Calls = append(c.tr.Calls, call)
 	seq := c.apiSeq
@@ -196,27 +199,21 @@ func (c *CPU) logArgs(label winapi.Label, args []winapi.Arg) []trace.ArgValue {
 	if len(args) == 0 {
 		return nil
 	}
-	isStatic := make(map[int]bool, len(label.StaticArgs))
-	for _, i := range label.StaticArgs {
-		isStatic[i] = true
-	}
-	isStr := make(map[int]bool, len(label.StrArgs))
-	for _, i := range label.StrArgs {
-		isStr[i] = true
-	}
 	out := make([]trace.ArgValue, len(args))
 	for i, a := range args {
-		av := trace.ArgValue{
-			Raw:     a.Value,
-			Static:  isStatic[i],
-			Tainted: !a.Taint.Empty(),
+		out[i] = trace.ArgValue{Raw: a.Value, Tainted: !a.Taint.Empty()}
+	}
+	for _, i := range label.StaticArgs {
+		if i >= 0 && i < len(out) {
+			out[i].Static = true
 		}
-		if isStr[i] {
-			if s, _, err := c.mem.readCString(a.Value); err == nil {
-				av.Str = s
+	}
+	for _, i := range label.StrArgs {
+		if i >= 0 && i < len(out) {
+			if s, _, err := c.mem.readCString(out[i].Raw); err == nil {
+				out[i].Str = s
 			}
 		}
-		out[i] = av
 	}
 	return out
 }

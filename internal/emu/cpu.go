@@ -145,10 +145,15 @@ type CPU struct {
 	callStack  []int
 	rngState   uint64
 
-	table        *taint.Table
+	table        taint.Table
 	tr           *trace.Trace
 	apiSeq       int
 	lastErrTaint taint.Set
+	// apiSites is the program's CALLAPI/CALLAPIR count, the initial
+	// capacity of the call log and the source table.
+	apiSites int
+	// argBuf holds the current API call's arguments.
+	argBuf []winapi.Arg
 
 	// Per-step access collection (active when RecordSteps);
 	// accessArena is the chunked backing store the per-step records
@@ -181,7 +186,7 @@ func New(prog *isa.Program, env *winenv.Env, opts Options) (*CPU, error) {
 		opts:     opts,
 		mem:      newMemoryFrom(d),
 		symbols:  d.symbols,
-		table:    &taint.Table{},
+		apiSites: d.apiSites,
 		tr: &trace.Trace{
 			Program: prog.Name,
 			Mutated: len(opts.Mutations) > 0,
@@ -193,10 +198,10 @@ func New(prog *isa.Program, env *winenv.Env, opts Options) (*CPU, error) {
 }
 
 // resetFor rewinds the CPU to its freshly-constructed state under new
-// options, reusing every buffer: the memory image (pristine data,
-// cleared shadows), the pooled stack, the taint table, and the access
-// arena's free tail. The caller is responsible for resetting the
-// environment.
+// options, reusing every buffer: the memory image (the written range
+// restored, the tainted range of the shadows cleared), the pooled
+// stack, the argument buffer, and the access arena's free tail. The
+// caller is responsible for resetting the environment.
 func (c *CPU) resetFor(opts Options) {
 	opts = opts.withDefaults()
 	c.registry = opts.Registry
@@ -295,7 +300,9 @@ func (c *CPU) ReadCString(addr uint32) (string, taint.Set, error) {
 	if err != nil {
 		return "", taint.Set{}, err
 	}
-	c.noteRead(trace.MemLoc(addr, uint32(len(s))+1), 0, []byte(s))
+	if c.opts.RecordSteps {
+		c.noteRead(trace.MemLoc(addr, uint32(len(s))+1), 0, []byte(s))
+	}
 	return s, t, nil
 }
 
@@ -304,7 +311,9 @@ func (c *CPU) WriteCString(addr uint32, s string, t taint.Set) error {
 	if err := c.mem.writeBytes(addr, append([]byte(s), 0), t); err != nil {
 		return err
 	}
-	c.noteWrite(trace.MemLoc(addr, uint32(len(s))+1), 0, []byte(s))
+	if c.opts.RecordSteps {
+		c.noteWrite(trace.MemLoc(addr, uint32(len(s))+1), 0, []byte(s))
+	}
 	return nil
 }
 
@@ -342,7 +351,9 @@ func (c *CPU) WriteBytes(addr uint32, b []byte, t taint.Set) error {
 	if err := c.mem.writeBytes(addr, b, t); err != nil {
 		return err
 	}
-	c.noteWrite(trace.MemLoc(addr, uint32(len(b))), 0, append([]byte(nil), b...))
+	if c.opts.RecordSteps {
+		c.noteWrite(trace.MemLoc(addr, uint32(len(b))), 0, append([]byte(nil), b...))
+	}
 	return nil
 }
 

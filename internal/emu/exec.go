@@ -35,7 +35,7 @@ func (c *CPU) Execute() *trace.Trace {
 	c.tr.Exit = c.exitKind
 	c.tr.ExitCode = c.exitCode
 	c.tr.Fault = c.fault
-	c.tr.Sources = c.table.All()
+	c.tr.Sources = c.table.Take()
 	return c.tr
 }
 

@@ -7,6 +7,7 @@
 package emu
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -58,6 +59,14 @@ type segment struct {
 	// is all-untainted. Read-only segments never allocate shadows
 	// (writes to them fault before reaching the taint store).
 	shadow [][]taint.Set
+	// taintLo and taintHi bound the offsets tainted since the last
+	// reset (meaningful while anyTaint), so a reset clears that range
+	// of the shadow pages instead of whole 24 KiB pages.
+	taintLo, taintHi uint32
+	// dirtyLo and dirtyHi bound the offsets written since the last
+	// reset (empty while dirtyLo >= dirtyHi), so a reset restores or
+	// clears that range instead of the whole segment.
+	dirtyLo, dirtyHi uint32
 
 	// pristine is the loader-initialised content, shared across runs
 	// for reset; nil means all-zero (the stack).
@@ -65,6 +74,29 @@ type segment struct {
 	// pooled marks a data buffer borrowed from stackPool, returned by
 	// release.
 	pooled bool
+}
+
+// markDirty widens the written range to cover [off, off+n).
+func (s *segment) markDirty(off, n uint32) {
+	if s.dirtyLo >= s.dirtyHi {
+		s.dirtyLo, s.dirtyHi = off, off+n
+		return
+	}
+	s.dirtyLo = min(s.dirtyLo, off)
+	s.dirtyHi = max(s.dirtyHi, off+n)
+}
+
+// restore returns the written range to its loader content (zero for
+// the stack) and marks the segment clean.
+func (s *segment) restore() {
+	if s.dirtyLo < s.dirtyHi {
+		if s.pristine != nil {
+			copy(s.data[s.dirtyLo:s.dirtyHi], s.pristine[s.dirtyLo:s.dirtyHi])
+		} else {
+			clear(s.data[s.dirtyLo:s.dirtyHi])
+		}
+	}
+	s.dirtyLo, s.dirtyHi = 0, 0
 }
 
 func (s *segment) contains(addr uint32) bool {
@@ -101,7 +133,13 @@ func (s *segment) setTaint(off uint32, t taint.Set) {
 	if s.shadow == nil {
 		s.shadow = make([][]taint.Set, (len(s.data)+shadowPageSize-1)>>shadowPageBits)
 	}
-	s.anyTaint = true
+	if !s.anyTaint {
+		s.anyTaint = true
+		s.taintLo, s.taintHi = off, off+1
+	} else {
+		s.taintLo = min(s.taintLo, off)
+		s.taintHi = max(s.taintHi, off+1)
+	}
 	i := off >> shadowPageBits
 	pg := s.shadow[i]
 	if pg == nil {
@@ -111,16 +149,23 @@ func (s *segment) setTaint(off uint32, t taint.Set) {
 	pg[off&shadowPageMask] = t
 }
 
-// resetShadow clears every allocated shadow page, keeping the pages for
-// reuse so the next run of a pooled execution pays no allocation.
+// resetShadow clears the tainted range of the allocated shadow pages,
+// keeping the pages for reuse so the next run of a pooled execution
+// pays no allocation. Bytes outside the range were never tainted, so
+// the pages come out all clear.
 func (s *segment) resetShadow() {
 	if !s.anyTaint {
 		return
 	}
-	for _, pg := range s.shadow {
-		if pg != nil {
-			clear(pg)
+	for p := s.taintLo >> shadowPageBits; p <= (s.taintHi-1)>>shadowPageBits; p++ {
+		pg := s.shadow[p]
+		if pg == nil {
+			continue
 		}
+		start := p << shadowPageBits
+		lo := max(s.taintLo, start) - start
+		hi := min(s.taintHi, start+shadowPageSize) - start
+		clear(pg[lo:hi])
 	}
 	s.anyTaint = false
 }
@@ -247,6 +292,7 @@ func (m *memory) writeByte(addr uint32, v byte, t taint.Set) error {
 	}
 	off := addr - s.base
 	s.data[off] = v
+	s.markDirty(off, 1)
 	s.setTaint(off, t)
 	return nil
 }
@@ -281,6 +327,7 @@ func (m *memory) writeWord(addr uint32, v uint32, t taint.Set) error {
 	s.data[off+1] = byte(v >> 8)
 	s.data[off+2] = byte(v >> 16)
 	s.data[off+3] = byte(v >> 24)
+	s.markDirty(off, 4)
 	if t.Empty() && !s.anyTaint {
 		return nil
 	}
@@ -324,6 +371,7 @@ func (m *memory) writeBytes(addr uint32, b []byte, t taint.Set) error {
 	}
 	off := addr - s.base
 	copy(s.data[off:], b)
+	s.markDirty(off, uint32(len(b)))
 	if t.Empty() && !s.anyTaint {
 		return nil
 	}
@@ -333,8 +381,41 @@ func (m *memory) writeBytes(addr uint32, b []byte, t taint.Set) error {
 	return nil
 }
 
-// readCString reads a NUL-terminated string with combined taint.
+// maxCString is the longest string readCString accepts; a longer one
+// is an unterminated-string fault.
+const maxCString = 1 << 16
+
+// readCString reads a NUL-terminated string with combined taint. The
+// common case — the NUL lies inside the string's segment — takes one
+// segment lookup, one IndexByte and one allocation; a string that runs
+// off its segment goes through readCStringBytewise, so faults and the
+// length limit are decided exactly as byte-at-a-time reads decide them.
 func (m *memory) readCString(addr uint32) (string, taint.Set, error) {
+	s, err := m.find(addr)
+	if err != nil {
+		return "", taint.Set{}, err
+	}
+	off := addr - s.base
+	rest := s.data[off:]
+	n := bytes.IndexByte(rest[:min(len(rest), maxCString+1)], 0)
+	if n < 0 {
+		if len(rest) > maxCString {
+			return "", taint.Set{}, fmt.Errorf("%w: unterminated string at %#x", ErrBadAccess, addr)
+		}
+		return m.readCStringBytewise(addr)
+	}
+	var t taint.Set
+	if s.anyTaint {
+		for i := off; i < off+uint32(n); i++ {
+			t = t.Union(s.taintAt(i))
+		}
+	}
+	return string(rest[:n]), t, nil
+}
+
+// readCStringBytewise is readCString one byte (and one segment lookup)
+// at a time: the path for strings that cross a segment boundary.
+func (m *memory) readCStringBytewise(addr uint32) (string, taint.Set, error) {
 	var out []byte
 	var t taint.Set
 	for a := addr; ; a++ {
@@ -347,30 +428,48 @@ func (m *memory) readCString(addr uint32) (string, taint.Set, error) {
 		}
 		out = append(out, b)
 		t = t.Union(bt)
-		if len(out) > 1<<16 {
+		if len(out) > maxCString {
 			return "", taint.Set{}, fmt.Errorf("%w: unterminated string at %#x", ErrBadAccess, addr)
 		}
 	}
 }
 
-// byteTaints returns the per-byte taint of [addr, addr+n) — the input to
-// the per-byte identifier-provenance classification.
-func (m *memory) byteTaints(addr, n uint32) ([]taint.Set, error) {
+// untaintedBytes backs the per-byte provenance of untainted strings up
+// to its length: every element is nil, and it is never written.
+var untaintedBytes = make([][]taint.Source, 256)
+
+// byteSources returns the per-byte taint labels of [addr, addr+n) — the
+// identifier provenance the determinism classification reads — or nil
+// when n is 0 or the range is not inside one segment. An untainted
+// range shares untaintedBytes, capped so that an append copies;
+// callers must not write the elements.
+func (m *memory) byteSources(addr, n uint32) [][]taint.Source {
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	s, err := m.findRange(addr, n)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	off := addr - s.base
-	out := make([]taint.Set, n)
+	var out [][]taint.Source
 	if s.anyTaint {
 		for i := uint32(0); i < n; i++ {
-			out[i] = s.taintAt(off + i)
+			if t := s.taintAt(off + i); !t.Empty() {
+				if out == nil {
+					out = make([][]taint.Source, n)
+				}
+				out[i] = t.Sources()
+			}
 		}
 	}
-	return out, nil
+	if out == nil {
+		if int(n) <= len(untaintedBytes) {
+			return untaintedBytes[:n:n]
+		}
+		out = make([][]taint.Source, n)
+	}
+	return out
 }
 
 // inReadOnly reports whether addr lies in a read-only segment.
@@ -381,28 +480,27 @@ func (m *memory) inReadOnly(addr uint32) bool {
 
 // reset restores every writable segment to its loader state — pristine
 // data, no taint — keeping all buffers (and any allocated shadow pages)
-// for the next run. Read-only segments are skipped: writes to them
-// fault, so they cannot have changed.
+// for the next run. Only the range written since the last reset is
+// restored. Read-only segments are skipped: writes to them fault, so
+// they cannot have changed.
 func (m *memory) reset() {
 	for _, s := range m.segs {
 		if s.readOnly {
 			continue
 		}
-		if s.pristine != nil {
-			copy(s.data, s.pristine)
-		} else {
-			clear(s.data)
-		}
+		s.restore()
 		s.resetShadow()
 	}
 	m.last = nil
 }
 
-// release returns pooled buffers: the stack and every shadow page.
-// The memory must not be used afterwards.
+// release returns pooled buffers: the stack, with its written range
+// cleared so the pool holds only zeroed buffers, and every shadow
+// page. The memory must not be used afterwards.
 func (m *memory) release() {
 	for _, s := range m.segs {
 		if s.pooled {
+			s.restore()
 			buf := s.data
 			s.data = nil
 			s.pooled = false
@@ -414,14 +512,13 @@ func (m *memory) release() {
 	m.last = nil
 }
 
-// mapStack maps the stack segment from the buffer pool.
+// mapStack maps the stack segment from the buffer pool. Pooled buffers
+// are zero: release clears what a run wrote before returning one.
 func (m *memory) mapStack() {
 	bp := stackPool.Get().(*[]byte)
-	buf := *bp
-	clear(buf)
 	s := &segment{
 		base:   StackTop - StackSize,
-		data:   buf,
+		data:   *bp,
 		name:   "stack",
 		pooled: true,
 	}

@@ -1,11 +1,15 @@
 package emu
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"autovac/internal/isa"
 	"autovac/internal/taint"
+	"autovac/internal/trace"
+	"autovac/internal/winenv"
 )
 
 func testMemory() *memory {
@@ -95,18 +99,29 @@ func TestMemoryByteTaints(t *testing.T) {
 	m := testMemory()
 	_ = m.writeByte(0x1001, 'x', taint.Of(1))
 	_ = m.writeByte(0x1002, 'y', taint.Of(2))
-	taints, err := m.byteTaints(0x1000, 4)
-	if err != nil || len(taints) != 4 {
-		t.Fatalf("byteTaints: %v, %v", taints, err)
+	srcs := m.byteSources(0x1000, 4)
+	if len(srcs) != 4 {
+		t.Fatalf("byteSources: %v", srcs)
 	}
-	if !taints[0].Empty() || !taints[1].Has(1) || !taints[2].Has(2) || !taints[3].Empty() {
-		t.Errorf("per-byte taints wrong: %v", taints)
+	if srcs[0] != nil || !slices.Equal(srcs[1], []taint.Source{1}) ||
+		!slices.Equal(srcs[2], []taint.Source{2}) || srcs[3] != nil {
+		t.Errorf("per-byte sources wrong: %v", srcs)
 	}
-	if _, err := m.byteTaints(0x1000+62, 4); err == nil {
-		t.Error("cross-boundary byteTaints succeeded")
+	if got := m.byteSources(0x1000+62, 4); got != nil {
+		t.Error("cross-boundary byteSources succeeded")
 	}
-	if got, err := m.byteTaints(0x1000, 0); got != nil || err != nil {
-		t.Error("zero-length byteTaints")
+	if got := m.byteSources(0x1000, 0); got != nil {
+		t.Error("zero-length byteSources")
+	}
+	// An untainted range shares the all-nil backing, capped so an
+	// append cannot write into it.
+	clean := m.byteSources(0x1010, 3)
+	if len(clean) != 3 || cap(clean) != 3 || clean[0] != nil || clean[2] != nil {
+		t.Errorf("untainted byteSources = %v (cap %d)", clean, cap(clean))
+	}
+	grown := append(clean, []taint.Source{9})
+	if &grown[0] == &untaintedBytes[0] || untaintedBytes[3] != nil {
+		t.Error("append to an untainted byteSources wrote into the shared backing")
 	}
 }
 
@@ -200,13 +215,11 @@ func TestResetClearsShadowNoTaintLeak(t *testing.T) {
 	if err != nil || b != 0 || !tnt.Empty() {
 		t.Errorf("after reset: byte=%#x taint=%v err=%v", b, tnt, err)
 	}
-	taints, err := m.byteTaints(0x1000, uint32(len(s.data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, set := range taints {
-		if !set.Empty() {
-			t.Fatalf("taint leaked across reset at offset %d: %v", i, set)
+	for p, pg := range s.shadow {
+		for i, set := range pg {
+			if !set.Empty() {
+				t.Fatalf("taint leaked across reset on page %d at offset %d: %v", p, i, set)
+			}
 		}
 	}
 	// Pages are retained for reuse (cleared, not freed).
@@ -337,4 +350,239 @@ func TestReleasedShadowPagesCarryNoTaint(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("borrowing a shadow page allocated %.0f objects", n)
 	}
+}
+
+// TestReadCStringMatchesBytewise checks readCString's one-lookup fast
+// path against the byte-at-a-time loop it falls back to: same string,
+// same taint union, same fault.
+func TestReadCStringMatchesBytewise(t *testing.T) {
+	const big = maxCString + 8
+	fill := func(m *memory, addr uint32, n int, b byte) {
+		for i := 0; i < n; i++ {
+			if err := m.writeByte(addr+uint32(i), b, taint.Set{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(m *memory) uint32
+		wantErr string
+	}{
+		{"nul is the segment's last byte", func(m *memory) uint32 {
+			fill(m, 0x1000, 63, 'a') // offset 63 stays 0
+			return 0x1000
+		}, ""},
+		{"runs off its segment into unmapped memory", func(m *memory) uint32 {
+			fill(m, 0x1000, 64, 'a')
+			return 0x1010
+		}, "unmapped"},
+		{"runs off its segment into the next one", func(m *memory) uint32 {
+			m.mapSegment("next", 0x1040, 16, false)
+			fill(m, 0x1000, 64, 'a')
+			fill(m, 0x1040, 4, 'b')
+			return 0x1020
+		}, ""},
+		{"65536 bytes accepted", func(m *memory) uint32 {
+			m.mapSegment("big", 0x100000, big, false)
+			fill(m, 0x100000, maxCString, 'c')
+			return 0x100000
+		}, ""},
+		{"65537 bytes rejected", func(m *memory) uint32 {
+			m.mapSegment("big", 0x100000, big, false)
+			fill(m, 0x100000, maxCString+1, 'c')
+			return 0x100000
+		}, "unterminated"},
+		{"65536 bytes then the segment end", func(m *memory) uint32 {
+			m.mapSegment("big", 0x100000, maxCString, false)
+			fill(m, 0x100000, maxCString, 'c')
+			return 0x100000
+		}, "unmapped"},
+		{"partly tainted", func(m *memory) uint32 {
+			_ = m.writeBytes(0x1000, []byte("mutex-"), taint.Of(2))
+			_ = m.writeBytes(0x1006, []byte("name"), taint.Set{})
+			_ = m.writeByte(0x1008, 'm', taint.Of(5, 9))
+			return 0x1000
+		}, ""},
+		{"unmapped start", func(m *memory) uint32 { return 0x9000 }, "unmapped"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMemory()
+			addr := tc.setup(m)
+			s1, t1, err1 := m.readCString(addr)
+			s2, t2, err2 := m.readCStringBytewise(addr)
+			if s1 != s2 || !t1.Equal(t2) || fmt.Sprint(err1) != fmt.Sprint(err2) {
+				t.Fatalf("fast (%d bytes, %v, %v) != bytewise (%d bytes, %v, %v)",
+					len(s1), t1, err1, len(s2), t2, err2)
+			}
+			if tc.wantErr == "" && err1 != nil || tc.wantErr != "" && (err1 == nil || !strings.Contains(err1.Error(), tc.wantErr)) {
+				t.Fatalf("err = %v, want %q", err1, tc.wantErr)
+			}
+		})
+	}
+}
+
+// dirtyProbe writes both ends of the stack, scattered .data bytes, and
+// tainted bytes at both edges of one stack shadow page. It first folds
+// what a previous run may have left at those places into a branch and
+// a predicate, so stale data or taint changes the trace.
+func dirtyProbe() *isa.Program {
+	const page = 8
+	stackBase := StackTop - StackSize
+	lowStack := isa.MemAbs(stackBase)
+	pageLo := isa.MemAbs(stackBase + page*shadowPageSize)
+	pageMid := isa.MemAbs(stackBase + page*shadowPageSize + shadowPageSize/2)
+	pageHi := isa.MemAbs(stackBase + (page+1)*shadowPageSize - 4)
+	at := func(sym string, off uint32) isa.Operand {
+		return isa.Operand{Kind: isa.KindMem, Sym: sym, Imm: off}
+	}
+	b := isa.NewBuilder("dirty-probe")
+	b.RData("marker", "!DirtyProbe")
+	b.Buf("head", 8)
+	b.Buf("mid", 40)
+	b.Buf("tail", 8)
+	// Stale data: any nonzero byte takes the "dirty" exit.
+	b.Mov(isa.R(isa.EBX), lowStack)
+	b.Or(isa.R(isa.EBX), isa.MemAbs(StackTop-4))
+	b.Or(isa.R(isa.EBX), isa.MemSym("head"))
+	b.Or(isa.R(isa.EBX), at("mid", 20))
+	b.Or(isa.R(isa.EBX), at("tail", 4))
+	b.Or(isa.R(isa.EBX), pageLo)
+	b.Or(isa.R(isa.EBX), pageHi)
+	b.Cmp(isa.R(isa.EBX), isa.Imm(0))
+	b.Jnz("dirty")
+	// Stale taint shows once the page holds taint again: a tainted
+	// byte mid-page, then both edges feed a predicate.
+	b.CallAPI("CreateMutexA", isa.Sym("marker"))
+	b.Movb(pageMid, isa.R(isa.EAX))
+	b.Mov(isa.R(isa.ECX), pageLo)
+	b.Or(isa.R(isa.ECX), pageHi)
+	b.Cmp(isa.R(isa.ECX), isa.Imm(0))
+	// The writes.
+	b.Mov(pageLo, isa.R(isa.EAX))
+	b.Mov(pageHi, isa.R(isa.EAX))
+	b.Mov(at("mid", 0), isa.R(isa.EAX))
+	b.Mov(lowStack, isa.Imm(0x11111111))
+	b.Push(isa.Imm(0x22222222))
+	b.Mov(isa.MemSym("head"), isa.Imm(0x33))
+	b.Movb(at("mid", 20), isa.Imm(0x44))
+	b.Movb(at("tail", 7), isa.Imm(0x55)) // the last byte .data writes
+	b.Halt()
+	b.Label("dirty")
+	b.CallAPI("ExitProcess", isa.Imm(1))
+	return b.MustBuild()
+}
+
+// checkClean fails unless every writable segment holds its loader
+// content and every shadow page is clear.
+func checkClean(t *testing.T, m *memory, when string) {
+	t.Helper()
+	for _, s := range m.segs {
+		if s.readOnly {
+			continue
+		}
+		want := s.pristine
+		if want == nil {
+			want = make([]byte, len(s.data))
+		}
+		if i := slices.IndexFunc(s.data, func(b byte) bool { return b != 0 }); !slices.Equal(s.data, want) {
+			t.Errorf("%s: segment %q differs from its loader content (first nonzero byte at %d)", when, s.name, i)
+		}
+		for p, pg := range s.shadow {
+			for i, set := range pg {
+				if !set.Empty() {
+					t.Errorf("%s: segment %q shadow page %d offset %d still tainted: %v", when, s.name, p, i, set)
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestDirtyRangeResets checks that restoring only the written range
+// loses nothing: a Runner rerun and a fresh one-shot run serialize
+// identically, a reset leaves every writable byte and shadow page
+// clean, and the stack buffer and shadow pages go back to their pools
+// clean.
+func TestDirtyRangeResets(t *testing.T) {
+	prog := dirtyProbe()
+	opts := Options{Seed: 3}
+	r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tr1, err := r.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr1.Exit != trace.ExitHalt || len(tr1.Predicates) != 0 {
+		t.Fatalf("first run: exit %v, predicates %v; want a clean halt", tr1.Exit, tr1.Predicates)
+	}
+	tr2, err := r.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneShot, err := Run(prog, winenv.New(winenv.DefaultIdentity()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1 := traceJSON(t, tr1)
+	if traceJSON(t, tr2) != j1 {
+		t.Error("Runner rerun diverged: the reset left data or taint behind")
+	}
+	if traceJSON(t, oneShot) != j1 {
+		t.Error("one-shot run diverged from the Runner's first run")
+	}
+
+	mem := r.cpu.mem
+	mem.reset()
+	checkClean(t, mem, "after reset")
+
+	// Dirty the memory again and release it: the stack buffer and the
+	// shadow pages go back to their pools, and must go back clean.
+	if _, err := r.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	var stack []byte
+	var pages [][]taint.Set
+	for _, s := range mem.segs {
+		if s.pooled {
+			stack = s.data
+		}
+		for _, pg := range s.shadow {
+			if pg != nil {
+				pages = append(pages, pg)
+			}
+		}
+	}
+	if stack == nil || len(pages) == 0 {
+		t.Fatal("the run borrowed no stack buffer or no shadow page")
+	}
+	r.Close()
+	if i := slices.IndexFunc(stack, func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Errorf("stack buffer returned to the pool dirty at offset %d", i)
+	}
+	for _, pg := range pages {
+		for i, set := range pg {
+			if !set.Empty() {
+				t.Errorf("shadow page returned to the pool tainted at offset %d: %v", i, set)
+				break
+			}
+		}
+	}
+	// What the pools hand out next is clean too.
+	bp := stackPool.Get().(*[]byte)
+	if i := slices.IndexFunc(*bp, func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Errorf("stack buffer taken from the pool is dirty at offset %d", i)
+	}
+	stackPool.Put(bp)
+	pg := shadowPool.Get().(*shadowPage)
+	for i, set := range pg {
+		if !set.Empty() {
+			t.Errorf("shadow page taken from the pool is tainted at offset %d", i)
+			break
+		}
+	}
+	shadowPool.Put(pg)
 }

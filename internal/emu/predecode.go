@@ -55,6 +55,8 @@ type decoded struct {
 	instrs  []dInstr
 	symbols map[string]uint32
 	segs    []segImage
+	// apiSites counts the CALLAPI and CALLAPIR instructions.
+	apiSites int
 }
 
 // decodedFor returns the program's cached execution form, building and
@@ -117,6 +119,9 @@ func predecode(p *isa.Program) (*decoded, error) {
 				return nil, fmt.Errorf("emu: pc %d: unresolved target %q", i, in.Target)
 			}
 			di.target = pc
+		}
+		if in.Op == isa.CALLAPI || in.Op == isa.CALLAPIR {
+			d.apiSites++
 		}
 		d.instrs[i] = di
 	}

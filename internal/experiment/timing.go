@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 // injection, slice replay, daemon hook cost). The paper's absolute
 // numbers come from 2013 hardware over real binaries; the structure —
 // what is one-time vs recurring, what dominates — is the reproducible
-// part.
+// part. Every row is the spread of timingReps timed repetitions: one
+// timing of a shared machine swings 2-5x between runs.
 type Timing struct {
 	// SamplesTimed is the number of samples behind PerSampleAnalysis.
 	SamplesTimed int
@@ -28,57 +30,105 @@ type Timing struct {
 	SamplesFailed int
 	// PerSampleAnalysis is the mean end-to-end Phase-I+II time
 	// (paper: 789 s).
-	PerSampleAnalysis time.Duration
+	PerSampleAnalysis Spread
 	// BackwardSlicing is the mean slice-extraction time per identifier
 	// (paper: 214 s).
-	BackwardSlicing time.Duration
+	BackwardSlicing Spread
 	// ImpactAnalysis is the mean mutated-run-plus-diff time per case
 	// (paper: 2–3 min).
-	ImpactAnalysis time.Duration
+	ImpactAnalysis Spread
 	// StaticBatchInjection is the time to install 373 static vaccines
 	// on one host (paper: 34 s).
-	StaticBatchInjection time.Duration
+	StaticBatchInjection Spread
 	// SliceReplay is the mean per-vaccine replay time (paper: 25.7 s).
-	SliceReplay time.Duration
+	SliceReplay Spread
 	// HookBaseline and HookWith119 are per-operation costs without a
 	// daemon and with the paper's 119 partial-static vaccines.
-	HookBaseline time.Duration
-	HookWith119  time.Duration
+	HookBaseline Spread
+	HookWith119  Spread
 	// EmulatorStepsPerSec is the raw emulated-instruction throughput of
 	// pooled re-execution — the multiplier under Phase-I profiling,
 	// Phase-II impact re-runs, and slice replays alike.
-	EmulatorStepsPerSec float64
+	EmulatorStepsPerSec Spread
+}
+
+// Spread summarises one row's timed repetitions: their median and
+// quartiles. Duration rows hold nanoseconds per operation; the emulator
+// row holds instructions per second.
+type Spread struct {
+	Median, Q1, Q3 float64
+}
+
+// timingReps is how many timed repetitions every row takes.
+const timingReps = 5
+
+// timed runs body timingReps times and returns the spread of its time
+// per operation: each repetition's wall time over the operation count
+// body returns.
+func timed(body func() (ops int, err error)) (Spread, error) {
+	xs := make([]float64, timingReps)
+	for i := range xs {
+		start := time.Now()
+		ops, err := body()
+		if err != nil {
+			return Spread{}, err
+		}
+		xs[i] = float64(time.Since(start)) / float64(max(ops, 1))
+	}
+	return spreadOf(xs), nil
+}
+
+// spreadOf sorts xs and returns its median and quartiles, linearly
+// interpolated between order statistics.
+func spreadOf(xs []float64) Spread {
+	sort.Float64s(xs)
+	at := func(q float64) float64 {
+		pos := q * float64(len(xs)-1)
+		i := int(pos)
+		if i+1 >= len(xs) {
+			return xs[len(xs)-1]
+		}
+		return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
+	}
+	return Spread{Median: at(0.5), Q1: at(0.25), Q3: at(0.75)}
 }
 
 // HookAddedCost returns the absolute per-operation cost the 119-pattern
-// daemon adds to a same-namespace resource operation. The paper reports
-// the RELATIVE figure (<4.5%) against real Windows syscall latencies;
-// on this in-memory substrate a base operation costs nanoseconds, so
-// relative ratios do not transfer — the absolute added cost (a pattern
-// scan within one namespace) is the meaningful number.
+// daemon adds to a same-namespace resource operation (the difference of
+// the medians). The paper reports the RELATIVE figure (<4.5%) against
+// real Windows syscall latencies; on this in-memory substrate a base
+// operation costs nanoseconds, so relative ratios do not transfer — the
+// absolute added cost (a pattern scan within one namespace) is the
+// meaningful number.
 func (t *Timing) HookAddedCost() time.Duration {
-	return t.HookWith119 - t.HookBaseline
+	return time.Duration(t.HookWith119.Median - t.HookBaseline.Median)
 }
 
 // MeasureTiming runs the §VI-F measurements over a slice of the corpus.
 func (s *Setup) MeasureTiming(sampleBudget int) (*Timing, error) {
 	tm := &Timing{}
+	var err error
 
 	// Per-sample end-to-end analysis.
 	n := sampleBudget
 	if n <= 0 || n > len(s.Samples) {
 		n = len(s.Samples)
 	}
-	start := time.Now()
-	for _, sm := range s.Samples[:n] {
-		// Per-sample isolation: a failing sample is excluded from the
-		// mean rather than aborting the whole measurement.
-		if _, err := s.Pipeline.SafeAnalyze(sm); err != nil {
-			tm.SamplesFailed++
+	tm.PerSampleAnalysis, err = timed(func() (int, error) {
+		tm.SamplesFailed = 0
+		for _, sm := range s.Samples[:n] {
+			// Per-sample isolation: a failing sample is excluded from
+			// the mean rather than aborting the whole measurement.
+			if _, err := s.Pipeline.SafeAnalyze(sm); err != nil {
+				tm.SamplesFailed++
+			}
 		}
+		return n - tm.SamplesFailed, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	tm.SamplesTimed = n - tm.SamplesFailed
-	tm.PerSampleAnalysis = time.Since(start) / time.Duration(maxInt(tm.SamplesTimed, 1))
 
 	// Backward slicing on an algorithm-deterministic identifier.
 	spec := &malware.Spec{Name: "timing-algo", Category: malware.Worm,
@@ -90,16 +140,19 @@ func (s *Setup) MeasureTiming(sampleBudget int) (*Timing, error) {
 		return nil, err
 	}
 	seq := tr.CallsTo("CreateMutexA")[0].Seq
-	const sliceReps = 50
-	start = time.Now()
 	var sl *determinism.Slice
-	for i := 0; i < sliceReps; i++ {
-		sl, err = determinism.Extract(prog, tr, seq)
-		if err != nil {
-			return nil, err
+	tm.BackwardSlicing, err = timed(func() (int, error) {
+		const reps = 50
+		for i := 0; i < reps; i++ {
+			if sl, err = determinism.Extract(prog, tr, seq); err != nil {
+				return 0, err
+			}
 		}
+		return reps, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	tm.BackwardSlicing = time.Since(start) / sliceReps
 
 	// Impact analysis: one mutated re-run plus classification.
 	zeus, err := s.Generator.FamilySample(malware.Zeus)
@@ -111,19 +164,23 @@ func (s *Setup) MeasureTiming(sampleBudget int) (*Timing, error) {
 	if err != nil {
 		return nil, err
 	}
-	const impactReps = 25
-	start = time.Now()
-	for i := 0; i < impactReps; i++ {
-		mutated, err := emu.Run(zeus.Program, winenv.New(s.Pipeline.Identity()),
-			emu.Options{Seed: s.Pipeline.Seed(), Registry: s.Pipeline.Registry(),
-				Mutations: []emu.Mutation{{API: "OpenMutexA", CallerPC: -1,
-					Identifier: "_AVIRA_2109", Mode: emu.ForceSuccess}}})
-		if err != nil {
-			return nil, err
+	tm.ImpactAnalysis, err = timed(func() (int, error) {
+		const reps = 25
+		for i := 0; i < reps; i++ {
+			mutated, err := emu.Run(zeus.Program, winenv.New(s.Pipeline.Identity()),
+				emu.Options{Seed: s.Pipeline.Seed(), Registry: s.Pipeline.Registry(),
+					Mutations: []emu.Mutation{{API: "OpenMutexA", CallerPC: -1,
+						Identifier: "_AVIRA_2109", Mode: emu.ForceSuccess}}})
+			if err != nil {
+				return 0, err
+			}
+			impact.Classify(mutated, normal)
 		}
-		impact.Classify(mutated, normal)
+		return reps, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	tm.ImpactAnalysis = time.Since(start) / impactReps
 
 	// Deployment: 373 static vaccines (the paper's count) on one host.
 	static := make([]vaccine.Vaccine, 373)
@@ -136,29 +193,40 @@ func (s *Setup) MeasureTiming(sampleBudget int) (*Timing, error) {
 			Delivery: vaccine.DirectInjection,
 		}
 	}
-	env := winenv.New(s.Pipeline.Identity())
-	d := s.Pipeline.NewDaemonFor(env)
-	start = time.Now()
-	for i := range static {
-		if err := d.Install(static[i]); err != nil {
-			return nil, err
+	tm.StaticBatchInjection, err = timed(func() (int, error) {
+		d := s.Pipeline.NewDaemonFor(winenv.New(s.Pipeline.Identity()))
+		for i := range static {
+			if err := d.Install(static[i]); err != nil {
+				return 0, err
+			}
 		}
+		return 1, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	tm.StaticBatchInjection = time.Since(start)
 
 	// Slice replay per algorithmic vaccine.
-	const replayReps = 25
-	start = time.Now()
-	for i := 0; i < replayReps; i++ {
-		if _, err := sl.Replay(winenv.New(s.Pipeline.Identity()), s.Pipeline.Seed()); err != nil {
-			return nil, err
+	tm.SliceReplay, err = timed(func() (int, error) {
+		const reps = 25
+		for i := 0; i < reps; i++ {
+			if _, err := sl.Replay(winenv.New(s.Pipeline.Identity()), s.Pipeline.Seed()); err != nil {
+				return 0, err
+			}
 		}
+		return reps, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	tm.SliceReplay = time.Since(start) / replayReps
 
 	// Hook overhead: per-op cost with no daemon vs 119 patterns.
-	tm.HookBaseline = hookCost(s, 0)
-	tm.HookWith119 = hookCost(s, 119)
+	if tm.HookBaseline, err = timed(hookCost(s, 0)); err != nil {
+		return nil, err
+	}
+	if tm.HookWith119, err = timed(hookCost(s, 119)); err != nil {
+		return nil, err
+	}
 
 	// Raw emulator throughput through a pooled Runner — the Phase-II
 	// steady-state shape (one arena, many runs).
@@ -167,27 +235,30 @@ func (s *Setup) MeasureTiming(sampleBudget int) (*Timing, error) {
 		return nil, err
 	}
 	defer runner.Close()
-	const emuReps = 200
-	steps := 0
-	start = time.Now()
-	for i := 0; i < emuReps; i++ {
-		tr, err := runner.Run(emu.Options{Seed: s.Pipeline.Seed(), Registry: s.Pipeline.Registry()})
-		if err != nil {
-			return nil, err
+	perStep, err := timed(func() (int, error) {
+		steps := 0
+		for i := 0; i < 200; i++ {
+			tr, err := runner.Run(emu.Options{Seed: s.Pipeline.Seed(), Registry: s.Pipeline.Registry()})
+			if err != nil {
+				return 0, err
+			}
+			steps += tr.StepCount
 		}
-		steps += tr.StepCount
+		return steps, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if el := time.Since(start); el > 0 {
-		tm.EmulatorStepsPerSec = float64(steps) / el.Seconds()
-	}
+	// Throughput is the reciprocal, so the quartiles swap.
+	tm.EmulatorStepsPerSec = Spread{Median: 1e9 / perStep.Median, Q1: 1e9 / perStep.Q3, Q3: 1e9 / perStep.Q1}
 	return tm, nil
 }
 
-// hookCost measures the mean per-operation cost of a resource probe on a
-// host with n partial-static daemon patterns installed.
-func hookCost(s *Setup, n int) time.Duration {
+// hookCost returns a timed body measuring the per-operation cost of a
+// resource probe on a host with n partial-static daemon patterns
+// installed.
+func hookCost(s *Setup, n int) func() (int, error) {
 	env := winenv.New(s.Pipeline.Identity())
-	env.SetEventLogging(false)
 	if n > 0 {
 		d := s.Pipeline.NewDaemonFor(env)
 		for i := 0; i < n; i++ {
@@ -200,32 +271,28 @@ func hookCost(s *Setup, n int) time.Duration {
 			})
 		}
 	}
-	const reps = 4000
 	req := winenv.Request{Kind: winenv.KindMutex, Op: winenv.OpCreate,
 		Name: "benign-instance-mutex", Principal: "app"}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		env.Do(req)
-		env.Remove(winenv.KindMutex, req.Name)
+	return func() (int, error) {
+		const reps = 4000
+		for i := 0; i < reps; i++ {
+			env.Do(req)
+			env.Remove(winenv.KindMutex, req.Name)
+		}
+		return reps, nil
 	}
-	return time.Since(start) / reps
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RenderTiming renders the §VI-F table with the paper's reference
-// numbers alongside.
+// numbers alongside; each measured row is "median [Q1–Q3]".
 func RenderTiming(tm *Timing) string {
 	var b strings.Builder
 	b.WriteString("Performance (§VI-F) — paper (2013 testbed, real binaries) vs measured\n")
-	fmt.Fprintf(&b, "%-44s %-12s %s\n", "Measurement", "Paper", "Measured")
-	row := func(what, paper string, d time.Duration) {
-		fmt.Fprintf(&b, "%-44s %-12s %v\n", what, paper, d.Round(time.Nanosecond))
+	fmt.Fprintf(&b, "%-44s %-12s %s\n", "Measurement",
+		"Paper", fmt.Sprintf("Measured, median [Q1–Q3] of %d", timingReps))
+	d := func(ns float64) time.Duration { return round3(time.Duration(ns)) }
+	row := func(what, paper string, sp Spread) {
+		fmt.Fprintf(&b, "%-44s %-12s %v [%v–%v]\n", what, paper, d(sp.Median), d(sp.Q1), d(sp.Q3))
 	}
 	row(fmt.Sprintf("analysis per sample (n=%d)", tm.SamplesTimed), "789 s", tm.PerSampleAnalysis)
 	row("backward slicing per identifier", "214 s", tm.BackwardSlicing)
@@ -234,10 +301,20 @@ func RenderTiming(tm *Timing) string {
 	row("slice replay per algorithmic vaccine", "25.7 s", tm.SliceReplay)
 	row("resource op, no daemon", "-", tm.HookBaseline)
 	row("resource op, 119 daemon patterns", "<4.5% ovh", tm.HookWith119)
-	row("daemon cost added per same-namespace op", "", tm.HookAddedCost())
-	fmt.Fprintf(&b, "%-44s %-12s %.2f Minstr/s\n",
-		"emulator throughput (pooled re-execution)", "-", tm.EmulatorStepsPerSec/1e6)
+	fmt.Fprintf(&b, "%-44s %-12s %v\n", "daemon cost added per same-namespace op", "", round3(tm.HookAddedCost()))
+	e := tm.EmulatorStepsPerSec
+	fmt.Fprintf(&b, "%-44s %-12s %.2f [%.2f–%.2f] Minstr/s\n",
+		"emulator throughput (pooled re-execution)", "-", e.Median/1e6, e.Q1/1e6, e.Q3/1e6)
 	b.WriteString("(relative hook ratios do not transfer from an in-memory substrate;\n")
 	b.WriteString(" against a ~10µs real syscall the added cost stays in the paper's band)\n")
 	return b.String()
+}
+
+// round3 rounds a duration to three significant digits.
+func round3(d time.Duration) time.Duration {
+	unit := time.Duration(1)
+	for d/unit >= 1000 || -d/unit >= 1000 {
+		unit *= 10
+	}
+	return d.Round(unit)
 }

@@ -9,6 +9,7 @@ package taint
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -216,9 +217,25 @@ func (t *Table) Len() int { return len(t.infos) }
 // previously handed out by All are unaffected (All copies).
 func (t *Table) Reset() { t.infos = t.infos[:0] }
 
+// Grow makes room for n more labels without reallocating.
+func (t *Table) Grow(n int) { t.infos = slices.Grow(t.infos, n) }
+
 // All returns every source record, ordered by label.
 func (t *Table) All() []SourceInfo {
 	return append([]SourceInfo(nil), t.infos...)
+}
+
+// Take returns every source record, ordered by label, without copying,
+// and empties the table: the records become the caller's, and the
+// table's next label is 0 again in new storage. An empty table returns
+// nil and keeps its storage.
+func (t *Table) Take() []SourceInfo {
+	if len(t.infos) == 0 {
+		return nil
+	}
+	out := t.infos
+	t.infos = nil
+	return out
 }
 
 // Lookup returns the labels whose provenance satisfies the predicate.

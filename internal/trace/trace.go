@@ -93,7 +93,9 @@ type APICall struct {
 	TaintSources []taint.Source `json:",omitempty"`
 	// IdentifierTaint holds the per-byte taint labels of the identifier
 	// string as observed at call time — the input to the per-byte
-	// provenance classification of determinism analysis (§IV-C).
+	// provenance classification of determinism analysis (§IV-C). It is
+	// read-only: untainted identifiers share one all-nil backing
+	// (capped, so an append copies).
 	IdentifierTaint [][]taint.Source `json:",omitempty"`
 	// Mutated marks calls whose result was forced by impact analysis.
 	Mutated bool `json:",omitempty"`

@@ -28,7 +28,7 @@ func DefaultIdentity() HostIdentity {
 }
 
 // Request describes one attempted resource operation, as seen by
-// interception hooks and the event log.
+// interception hooks.
 type Request struct {
 	Kind ResourceKind
 	Op   Op
@@ -61,38 +61,29 @@ type Result struct {
 // lets it proceed. The vaccine daemon (§V) is implemented as a Hook.
 type Hook func(Request) *Result
 
-// Event is a logged resource operation with its outcome.
-type Event struct {
-	Tick    uint64
-	Request Request
-	Result  Result
-}
-
-// openHandle tracks one open handle in the handle table.
+// openHandle tracks one open handle in the handle table, which holds
+// it by value; its zero value (KindInvalid) marks an absent handle in
+// snapshot journals.
 type openHandle struct {
 	kind      ResourceKind
-	canonical string
 	name      string
 	principal string
 }
 
 // Env is a simulated Windows-like environment: eight resource namespaces,
-// a handle table, a last-error register, interception hooks, and an event
-// log. The zero value is not usable; construct with New.
+// a handle table, a last-error register, and interception hooks. The
+// zero value is not usable; construct with New.
 //
 // Env is not safe for concurrent use; each emulated execution owns its
 // Env (use Clone to fork).
 type Env struct {
 	identity  HostIdentity
 	resources map[ResourceKind]map[string]*Resource
-	handles   map[Handle]*openHandle
+	handles   map[Handle]openHandle
 	next      Handle
 	lastErr   ErrorCode
 	hooks     []Hook
-	events    []Event
 	tick      uint64
-	// logEvents controls event recording (on by default).
-	logEvents bool
 	net       *Network
 	// snaps is the stack of open snapshots; mutation points journal
 	// prior values into it (see snapshot.go). Empty in the common case.
@@ -106,9 +97,8 @@ func New(id HostIdentity) *Env {
 	e := &Env{
 		identity:  id,
 		resources: make(map[ResourceKind]map[string]*Resource),
-		handles:   make(map[Handle]*openHandle),
+		handles:   make(map[Handle]openHandle),
 		next:      4, // handles are multiples of 4, like Windows
-		logEvents: true,
 	}
 	for _, k := range Kinds() {
 		e.resources[k] = make(map[string]*Resource)
@@ -170,18 +160,8 @@ func (e *Env) ClearHooks() { e.hooks = nil }
 // HookCount returns the number of registered hooks.
 func (e *Env) HookCount() int { return len(e.hooks) }
 
-// SetEventLogging enables or disables the event log.
-func (e *Env) SetEventLogging(on bool) { e.logEvents = on }
-
-// Events returns the recorded operation log. The returned slice is owned
-// by the environment; callers must not modify it.
-func (e *Env) Events() []Event { return e.events }
-
-// ResetEvents clears the event log.
-func (e *Env) ResetEvents() { e.events = nil }
-
 // Do performs a resource operation: it consults hooks, applies namespace
-// semantics, updates GetLastError, and logs the event.
+// semantics, and updates GetLastError.
 func (e *Env) Do(req Request) Result {
 	e.tick++
 	res := e.dispatch(req)
@@ -190,9 +170,6 @@ func (e *Env) Do(req Request) Result {
 	// ERROR_ALREADY_EXISTS); a plain success leaves last-error untouched.
 	if !res.OK || res.Err != ErrSuccess {
 		e.lastErr = res.Err
-	}
-	if e.logEvents {
-		e.events = append(e.events, Event{Tick: e.tick, Request: req, Result: res})
 	}
 	return res
 }
@@ -223,7 +200,7 @@ func (e *Env) dispatch(req Request) Result {
 			case KindMutex:
 				// CreateMutex opens the existing object and reports
 				// ERROR_ALREADY_EXISTS while still succeeding.
-				return Result{OK: true, Err: ErrAlreadyExists, Handle: e.open(req, key)}
+				return Result{OK: true, Err: ErrAlreadyExists, Handle: e.open(req)}
 			case KindService:
 				return Result{Err: ErrServiceExists}
 			default:
@@ -240,13 +217,13 @@ func (e *Env) dispatch(req Request) Result {
 			Owner:     req.Principal,
 			CreatedAt: e.tick,
 		}
-		return Result{OK: true, Handle: e.open(req, key)}
+		return Result{OK: true, Handle: e.open(req)}
 
 	case OpOpen:
 		if existing == nil {
 			return Result{Err: notFoundError(req.Kind)}
 		}
-		return Result{OK: true, Handle: e.open(req, key)}
+		return Result{OK: true, Handle: e.open(req)}
 
 	case OpQuery:
 		if existing == nil {
@@ -284,15 +261,14 @@ func (e *Env) dispatch(req Request) Result {
 }
 
 // open allocates a handle for a successful create/open.
-func (e *Env) open(req Request, canonical string) Handle {
+func (e *Env) open(req Request) Handle {
 	h := e.next
 	e.next += 4
 	if len(e.snaps) > 0 {
 		e.noteHandle(h)
 	}
-	e.handles[h] = &openHandle{
+	e.handles[h] = openHandle{
 		kind:      req.Kind,
-		canonical: canonical,
 		name:      req.Name,
 		principal: req.Principal,
 	}
@@ -349,8 +325,8 @@ func (e *Env) Exists(kind ResourceKind, name string) bool {
 	return e.Lookup(kind, name) != nil
 }
 
-// Inject places a resource directly into the environment, bypassing hooks
-// and the event log. It is the primitive behind vaccine direct injection.
+// Inject places a resource directly into the environment, bypassing
+// hooks. It is the primitive behind vaccine direct injection.
 // Any existing resource with the same name is replaced.
 func (e *Env) Inject(r Resource) {
 	if r.Owner == "" {
@@ -364,8 +340,8 @@ func (e *Env) Inject(r Resource) {
 	e.resources[r.Kind][key] = r.clone()
 }
 
-// Remove deletes a resource directly, bypassing hooks and the event log.
-// It reports whether the resource existed.
+// Remove deletes a resource directly, bypassing hooks. It reports
+// whether the resource existed.
 func (e *Env) Remove(kind ResourceKind, name string) bool {
 	key := canonicalName(name)
 	if _, ok := e.resources[kind][key]; !ok {
@@ -397,18 +373,16 @@ func (e *Env) ResourceCount(kind ResourceKind) int {
 }
 
 // Clone returns a deep copy of the environment: resources, handle table,
-// identity, and last error. Hooks and the event log are NOT copied; a
-// clone starts with a clean log and no interception, which is what
-// repeated-analysis runs need.
+// identity, and last error. Hooks are NOT copied; a clone starts with
+// no interception, which is what repeated-analysis runs need.
 func (e *Env) Clone() *Env {
 	c := &Env{
 		identity:  e.identity,
 		resources: make(map[ResourceKind]map[string]*Resource, len(e.resources)),
-		handles:   make(map[Handle]*openHandle, len(e.handles)),
+		handles:   make(map[Handle]openHandle, len(e.handles)),
 		next:      e.next,
 		lastErr:   e.lastErr,
 		tick:      e.tick,
-		logEvents: e.logEvents,
 	}
 	for k, ns := range e.resources {
 		m := make(map[string]*Resource, len(ns))
@@ -418,8 +392,7 @@ func (e *Env) Clone() *Env {
 		c.resources[k] = m
 	}
 	for h, oh := range e.handles {
-		cp := *oh
-		c.handles[h] = &cp
+		c.handles[h] = oh
 	}
 	if e.net != nil {
 		// Copy network configuration (DNS, blackholes, registrations) but

@@ -219,39 +219,11 @@ func TestCloneIsolation(t *testing.T) {
 		t.Errorf("clone data = %q, want aaa", r.Data)
 	}
 
-	// Clones do not inherit hooks or events.
+	// Clones do not inherit hooks.
 	e.AddHook(func(Request) *Result { return nil })
 	c3 := e.Clone()
 	if c3.HookCount() != 0 {
 		t.Error("clone inherited hooks")
-	}
-	if len(c3.Events()) != 0 {
-		t.Error("clone inherited events")
-	}
-}
-
-func TestEventLog(t *testing.T) {
-	e := New(DefaultIdentity())
-	e.Do(Request{Kind: KindMutex, Op: OpCreate, Name: "a", Principal: "p"})
-	e.Do(Request{Kind: KindMutex, Op: OpOpen, Name: "a", Principal: "p"})
-	evs := e.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	if evs[0].Request.Op != OpCreate || evs[1].Request.Op != OpOpen {
-		t.Errorf("event ops = %v %v", evs[0].Request.Op, evs[1].Request.Op)
-	}
-	if evs[0].Tick >= evs[1].Tick {
-		t.Error("ticks not increasing")
-	}
-	e.ResetEvents()
-	if len(e.Events()) != 0 {
-		t.Error("ResetEvents left events")
-	}
-	e.SetEventLogging(false)
-	e.Do(Request{Kind: KindMutex, Op: OpOpen, Name: "a", Principal: "p"})
-	if len(e.Events()) != 0 {
-		t.Error("logging disabled but event recorded")
 	}
 }
 

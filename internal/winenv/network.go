@@ -19,8 +19,7 @@ type Flow struct {
 // MaxFlows caps the retained flow log. A long worm simulation records
 // network activity without bound otherwise; when the cap is reached the
 // oldest half is discarded (capacity-capped, so slices handed out
-// earlier stay intact), mirroring the truncation discipline Snapshot
-// applies to events. Trimming is deferred while snapshots are open:
+// earlier stay intact). Trimming is deferred while snapshots are open:
 // rewind indexes into the flow log must stay valid, and snapshot-scoped
 // runs are bounded by their step budget anyway.
 const MaxFlows = 4096

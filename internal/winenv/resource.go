@@ -14,6 +14,7 @@ package winenv
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // ResourceKind identifies the namespace a resource lives in. The first
@@ -236,6 +237,13 @@ func (r *Resource) clone() *Resource {
 
 // canonicalName normalizes a resource identifier for namespace lookup.
 // Windows object names are case-insensitive; path separators are unified.
+// A name that is already canonical — ASCII, lower case, no '/' — is
+// returned as it is.
 func canonicalName(name string) string {
-	return strings.ToLower(strings.ReplaceAll(name, "/", `\`))
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c == '/' || 'A' <= c && c <= 'Z' || c >= utf8.RuneSelf {
+			return strings.ToLower(strings.ReplaceAll(name, "/", `\`))
+		}
+	}
+	return name
 }

@@ -11,8 +11,8 @@ package winenv
 //
 // Snapshots nest: Reset rewinds to the most recent (innermost) open
 // snapshot only, and Close releases it. Journaling covers the resource
-// namespaces, the handle table, sockets, flows, events, hooks added
-// after capture, the network's DNS/blackhole/registration tables and
+// namespaces, the handle table, sockets, flows, hooks added after
+// capture, the network's DNS/blackhole/registration tables and
 // resolve hooks, the attached responder's dialogue state (via
 // Responder.Mark/Rewind), and the scalar registers (identity,
 // last-error, tick, next handle). It does NOT cover test-configuration
@@ -21,13 +21,11 @@ package winenv
 type Snapshot struct {
 	env *Env
 
-	identity  HostIdentity
-	next      Handle
-	lastErr   ErrorCode
-	tick      uint64
-	events    int
-	hooks     int
-	logEvents bool
+	identity HostIdentity
+	next     Handle
+	lastErr  ErrorCode
+	tick     uint64
+	hooks    int
 
 	hadNet        bool
 	netNextSocket Handle
@@ -37,10 +35,10 @@ type Snapshot struct {
 	hadResponder  bool
 
 	// resources maps first-touched namespace keys to their prior value
-	// (nil = absent at capture). handles, sockets, and netEntries
-	// journal likewise.
+	// (nil = absent at capture). handles (the zero openHandle = absent),
+	// sockets, and netEntries journal likewise.
 	resources  map[resKey]*Resource
-	handles    map[Handle]*openHandle
+	handles    map[Handle]openHandle
 	sockets    map[Handle]sockPrior
 	netEntries map[netEntryKey]netEntryPrior
 }
@@ -88,11 +86,9 @@ func (e *Env) Snapshot() *Snapshot {
 		next:      e.next,
 		lastErr:   e.lastErr,
 		tick:      e.tick,
-		events:    len(e.events),
 		hooks:     len(e.hooks),
-		logEvents: e.logEvents,
 		resources: make(map[resKey]*Resource),
-		handles:   make(map[Handle]*openHandle),
+		handles:   make(map[Handle]openHandle),
 	}
 	if e.net != nil {
 		s.hadNet = true
@@ -112,8 +108,8 @@ func (e *Env) Snapshot() *Snapshot {
 
 // Reset rewinds the environment to the snapshot, which must be the
 // innermost open one. The snapshot stays open: the next run's touches
-// journal afresh. Event and flow slices handed out before the reset
-// stay intact (truncation caps capacity, so later appends reallocate).
+// journal afresh. Flow slices handed out before the reset stay intact
+// (truncation caps capacity, so later appends reallocate).
 func (e *Env) Reset(s *Snapshot) {
 	if s == nil || s.env != e || len(e.snaps) == 0 || e.snaps[len(e.snaps)-1] != s {
 		panic("winenv: Reset of a snapshot that is not the environment's innermost")
@@ -129,11 +125,10 @@ func (e *Env) Reset(s *Snapshot) {
 	}
 	clear(s.resources)
 	for h, prior := range s.handles {
-		if prior == nil {
+		if prior.kind == KindInvalid {
 			delete(e.handles, h)
 		} else {
-			cp := *prior
-			e.handles[h] = &cp
+			e.handles[h] = prior
 		}
 	}
 	clear(s.handles)
@@ -141,13 +136,9 @@ func (e *Env) Reset(s *Snapshot) {
 	e.next = s.next
 	e.lastErr = s.lastErr
 	e.tick = s.tick
-	if len(e.events) > s.events {
-		e.events = e.events[:s.events:s.events]
-	}
 	if len(e.hooks) > s.hooks {
 		e.hooks = e.hooks[:s.hooks]
 	}
-	e.logEvents = s.logEvents
 	if !s.hadNet {
 		// The network sprang into existence during the run; forget it.
 		e.net = nil
@@ -252,12 +243,7 @@ func (e *Env) noteHandle(h Handle) {
 		if _, seen := s.handles[h]; seen {
 			break
 		}
-		var prior *openHandle
-		if oh := e.handles[h]; oh != nil {
-			cp := *oh
-			prior = &cp
-		}
-		s.handles[h] = prior
+		s.handles[h] = e.handles[h]
 	}
 }
 

@@ -108,30 +108,6 @@ func TestSnapshotUndoesInjectAndRemove(t *testing.T) {
 	}
 }
 
-func TestSnapshotEventsTruncatedCapped(t *testing.T) {
-	e := snapEnv()
-	e.SetEventLogging(true)
-	doReq(t, e, OpCreate, KindMutex, "!Before")
-	base := len(e.Events())
-
-	snap := e.Snapshot()
-	defer snap.Close()
-
-	doReq(t, e, OpCreate, KindMutex, "!During")
-	held := e.Events() // a reader kept the slice across the reset
-	heldLen := len(held)
-
-	e.Reset(snap)
-	if len(e.Events()) != base {
-		t.Errorf("events = %d, want %d", len(e.Events()), base)
-	}
-	// New appends after the reset must not clobber the held slice.
-	doReq(t, e, OpCreate, KindMutex, "!After")
-	if len(held) != heldLen || held[heldLen-1].Request.Name != "!During" {
-		t.Error("reset+append clobbered a previously returned event slice")
-	}
-}
-
 func TestSnapshotUndoesNetwork(t *testing.T) {
 	e := snapEnv()
 	n := e.Net() // network exists before the snapshot
