@@ -5,9 +5,12 @@
 // normal usage, it will be discarded").
 //
 // Interference is detected by differential analysis: each benign
-// program runs once in a clean environment and once in the vaccinated
+// program runs once in a clean environment and again in the vaccinated
 // one; if the two API traces fail to align completely, or the program's
-// exit status changes, the vaccine is rejected.
+// exit status changes, the vaccine is rejected. A program reruns only
+// when the vaccine's install changed something its clean run read: the
+// emulator is deterministic, so any other rerun would repeat the clean
+// run exactly.
 package clinic
 
 import (
@@ -50,6 +53,10 @@ type Report struct {
 	Rejected []Rejection
 	// ProgramsTested is the size of the benign suite exercised.
 	ProgramsTested int
+	// Runs counts the vaccinated benign executions made. A (vaccine,
+	// program) pair whose install changed nothing the program's
+	// baseline read passes without a run.
+	Runs int
 }
 
 // Config parameterizes a clinic run.
@@ -74,11 +81,12 @@ func Run(vaccines []vaccine.Vaccine, benign []*malware.Sample, cfg Config) (*Rep
 }
 
 // Suite is a prepared clinic: the benign programs with their baseline
-// traces, recorded once, and a pool of arenas the vaccine tests run
-// in. A Suite is safe for concurrent use.
+// traces and read sets, recorded once, and a pool of arenas the
+// vaccine tests run in. A Suite is safe for concurrent use.
 type Suite struct {
 	programs  []*malware.Sample
 	baselines []*trace.Trace
+	reads     []*winenv.ReadSet
 	opts      emu.Options
 	arenas    sync.Pool
 }
@@ -89,10 +97,13 @@ type Suite struct {
 type arena struct {
 	env  *winenv.Env
 	base *winenv.Snapshot
+	// affected is testOne's list of the programs a vaccine must run.
+	affected []int
 }
 
 // NewSuite prepares the clinic for a benign suite: it records each
-// program's baseline trace against a pristine benign host.
+// program's baseline trace, and everything the program read, against a
+// pristine benign host.
 func NewSuite(benign []*malware.Sample, cfg Config) (*Suite, error) {
 	if cfg.Identity == (winenv.HostIdentity{}) {
 		cfg.Identity = winenv.DefaultIdentity()
@@ -100,6 +111,7 @@ func NewSuite(benign []*malware.Sample, cfg Config) (*Suite, error) {
 	s := &Suite{
 		programs:  benign,
 		baselines: make([]*trace.Trace, len(benign)),
+		reads:     make([]*winenv.ReadSet, len(benign)),
 		opts:      emu.Options{Seed: cfg.Seed, MaxSteps: cfg.MaxSteps},
 	}
 	s.arenas.New = func() any {
@@ -109,7 +121,9 @@ func NewSuite(benign []*malware.Sample, cfg Config) (*Suite, error) {
 	}
 	a := s.arenas.Get().(*arena)
 	for i, b := range benign {
+		s.reads[i] = a.env.RecordReads()
 		tr, err := emu.Run(b.Program, a.env, s.opts)
+		a.env.StopReads()
 		a.env.Reset(a.base)
 		if err != nil {
 			return nil, fmt.Errorf("clinic: baseline %s: %w", b.Name(), err)
@@ -122,13 +136,15 @@ func NewSuite(benign []*malware.Sample, cfg Config) (*Suite, error) {
 
 // Run tests every candidate vaccine: each is deployed (direct
 // injection or daemon, per its delivery class) into an arena that then
-// runs the whole benign suite. Vaccines are tested individually so one
-// bad vaccine cannot shadow another.
+// runs the benign programs the install can affect. Vaccines are tested
+// individually so one bad vaccine cannot shadow another.
 func (s *Suite) Run(vaccines []vaccine.Vaccine) *Report {
 	rep := &Report{ProgramsTested: len(s.programs)}
 	a := s.arenas.Get().(*arena)
 	for i := range vaccines {
-		if rej := s.testOne(a, &vaccines[i]); rej != nil {
+		rej, runs := s.testOne(a, &vaccines[i])
+		rep.Runs += runs
+		if rej != nil {
 			rep.Rejected = append(rep.Rejected, *rej)
 		} else {
 			rep.Passed = append(rep.Passed, vaccines[i])
@@ -140,36 +156,51 @@ func (s *Suite) Run(vaccines []vaccine.Vaccine) *Report {
 	return rep
 }
 
-// testOne deploys a single vaccine into the arena and runs the suite
-// against it. Every program starts from the freshly vaccinated state:
-// the arena rewinds to a snapshot taken right after deployment, and to
-// its base once the vaccine is done.
-func (s *Suite) testOne(a *arena, v *vaccine.Vaccine) *Rejection {
+// testOne deploys a single vaccine into the arena and runs, from the
+// freshly vaccinated state, each program whose baseline read something
+// the install changed, returning the rejection and the number of runs
+// made. Every other program would repeat its baseline and pass. The
+// arena rewinds to a snapshot taken right after deployment between
+// programs, and to its base once the vaccine is done.
+func (s *Suite) testOne(a *arena, v *vaccine.Vaccine) (*Rejection, int) {
 	if len(s.programs) == 0 {
-		return nil
+		return nil, 0
 	}
 	env := a.env
 	if err := deploy.NewDaemon(env, s.opts.Seed).Install(*v); err != nil {
 		env.Reset(a.base)
-		return &Rejection{Vaccine: v.ID, Reason: fmt.Sprintf("deployment failed: %v", err)}
+		return &Rejection{Vaccine: v.ID, Reason: fmt.Sprintf("deployment failed: %v", err)}, 0
 	}
-	vaccinated := env.Snapshot()
+	// Program runs journal into the base snapshot too, so what the
+	// install changed is read off it before any program runs.
+	a.affected = a.affected[:0]
+	for i, rs := range s.reads {
+		if a.base.Affects(rs) {
+			a.affected = append(a.affected, i)
+		}
+	}
 	var rej *Rejection
-	for i, b := range s.programs {
-		tr, err := emu.Run(b.Program, env, s.opts)
-		env.Reset(vaccinated)
-		if err != nil {
-			rej = &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: err.Error()}
-			break
+	runs := 0
+	if len(a.affected) > 0 {
+		vaccinated := env.Snapshot()
+		for _, i := range a.affected {
+			b := s.programs[i]
+			tr, err := emu.Run(b.Program, env, s.opts)
+			env.Reset(vaccinated)
+			runs++
+			if err != nil {
+				rej = &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: err.Error()}
+				break
+			}
+			if reason := compare(s.baselines[i], tr); reason != "" {
+				rej = &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: reason}
+				break
+			}
 		}
-		if reason := compare(s.baselines[i], tr); reason != "" {
-			rej = &Rejection{Vaccine: v.ID, Program: b.Name(), Reason: reason}
-			break
-		}
+		vaccinated.Close()
 	}
-	vaccinated.Close()
 	env.Reset(a.base)
-	return rej
+	return rej, runs
 }
 
 // compare decides whether a vaccinated run deviates from the baseline.

@@ -287,3 +287,101 @@ func TestSuiteConcurrentRuns(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// craftedHost is a benign program whose lookups are not its logged
+// identifiers. It loads an absent DLL, so LoadLibraryA also looks the
+// name up in the file namespace, and it starts an absent helper from an
+// image path, so CreateProcessA looks up the path in the file namespace
+// and the image's base name, not the helper it probed for, in the
+// process namespace.
+func craftedHost() *malware.Sample {
+	spec := &malware.Spec{Name: "crafted-host", Behaviors: []malware.Behavior{
+		{Kind: malware.BehLibraryCheck, ID: "plugin.dll"},
+		{Kind: malware.BehProcessCheck, ID: "crafthlp.exe", Aux: `C:\Program Files\Crafted\craftsvc.exe`},
+	}}
+	return &malware.Sample{Spec: spec, Program: malware.MustEmit(spec)}
+}
+
+// craftedCases are static vaccines on keys the benign suite reads only
+// through a lookup that is not a logged identifier.
+func craftedCases() []vaccine.Vaccine {
+	const static, presence, block = determinism.Static, vaccine.SimulatePresence, vaccine.BlockAccess
+	return []vaccine.Vaccine{
+		clinicCase("crafted/dll-file", winenv.KindFile, static, "PLUGIN.DLL", presence),
+		clinicCase("crafted/image-file", winenv.KindFile, static, `C:\Program Files\Crafted\craftsvc.exe`, presence),
+		clinicCase("crafted/image-process", winenv.KindProcess, static, "craftsvc.exe", presence),
+		clinicCase("itunes/run-value", winenv.KindRegistry, static, `HKLM\Software\Microsoft\Windows\CurrentVersion\Run\iTunesHelper`, block),
+	}
+}
+
+// usesNetwork reports whether a benign program's spec talks to an
+// update host.
+func usesNetwork(s *malware.Sample) bool {
+	for _, b := range s.Spec.Behaviors {
+		if b.Kind == malware.BehNetworkCC {
+			return true
+		}
+	}
+	return false
+}
+
+func TestSuiteRerunsOnlyWhatTheInstallChanged(t *testing.T) {
+	benign := append(suite(t, 41), craftedHost())
+	cfg := Config{Seed: 3, Identity: winenv.DefaultIdentity()}
+	cases := append(craftedCases(), clinicCases(t)...)
+	ref, err := referenceRun(cases, benign, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejectedBy := map[string]string{}
+	for _, r := range ref.Rejected {
+		rejectedBy[r.Vaccine] = r.Program
+	}
+	for id, prog := range map[string]string{
+		"crafted/dll-file":      "crafted-host",
+		"crafted/image-file":    "crafted-host",
+		"crafted/image-process": "crafted-host",
+		"itunes/run-value":      "benign-itunes",
+	} {
+		if rejectedBy[id] != prog {
+			t.Errorf("reference did not reject %s against %s: %+v", id, prog, ref.Rejected)
+		}
+	}
+	s, err := NewSuite(benign, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := summarize(s.Run(cases)), summarize(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Suite.Run:\n got %+v\nwant %+v", got, want)
+	}
+	for _, v := range cases {
+		// full is the runs a clinic without the skip makes: the suite up
+		// to and including the program that rejects the vaccine.
+		prog, rejected := rejectedBy[v.ID]
+		full := len(benign)
+		if rejected {
+			full = 0
+			for j, b := range benign {
+				if b.Name() == prog {
+					full = j + 1
+				}
+			}
+		}
+		var want int
+		switch {
+		case v.Class == determinism.PartialStatic && v.Resource != winenv.KindDomain:
+			want = full // a hook can intercept any request
+		case v.Resource == winenv.KindDomain:
+			for _, b := range benign[:full] {
+				if usesNetwork(b) {
+					want++
+				}
+			}
+		case prog != "":
+			want = 1 // no other program reads the vaccine's key
+		}
+		if got := s.Run([]vaccine.Vaccine{v}).Runs; got != want {
+			t.Errorf("%s: %d runs, want %d", v.ID, got, want)
+		}
+	}
+}

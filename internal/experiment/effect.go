@@ -220,7 +220,11 @@ func vaccineTypes(vs []vaccine.Vaccine) string {
 type FalsePositiveReport struct {
 	VaccinesTested int
 	ProgramsTested int
-	Rejections     []clinic.Rejection
+	// BenignRuns counts the vaccinated benign executions the clinic
+	// made; a (vaccine, program) pair whose install changed nothing
+	// the program's baseline read passes without one.
+	BenignRuns int
+	Rejections []clinic.Rejection
 }
 
 // FalsePositiveTest injects generated vaccines into the full benign
@@ -243,6 +247,7 @@ func (s *Setup) FalsePositiveTest(vaccines []vaccine.Vaccine) (*FalsePositiveRep
 	return &FalsePositiveReport{
 		VaccinesTested: len(vaccines),
 		ProgramsTested: rep.ProgramsTested,
+		BenignRuns:     rep.Runs,
 		Rejections:     rep.Rejected,
 	}, nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -289,6 +290,11 @@ func TestFalsePositiveExperiment(t *testing.T) {
 	if rep.ProgramsTested < 40 {
 		t.Errorf("benign suite = %d", rep.ProgramsTested)
 	}
-	_ = RenderFalsePositive(rep)
+	if pairs := rep.VaccinesTested * rep.ProgramsTested; rep.BenignRuns > pairs {
+		t.Errorf("benign runs = %d, more than the %d (vaccine, program) pairs", rep.BenignRuns, pairs)
+	}
+	if text := RenderFalsePositive(rep); !strings.Contains(text, fmt.Sprintf("benign runs:       %d of ", rep.BenignRuns)) {
+		t.Errorf("rendering lacks the benign runs line:\n%s", text)
+	}
 	_ = RenderGenSummary(gen)
 }

@@ -210,6 +210,8 @@ func RenderFalsePositive(rep *FalsePositiveReport) string {
 	b.WriteString("False-positive test — Malware clinic (§VI-E)\n")
 	fmt.Fprintf(&b, "vaccines tested:   %d\n", rep.VaccinesTested)
 	fmt.Fprintf(&b, "benign programs:   %d\n", rep.ProgramsTested)
+	fmt.Fprintf(&b, "benign runs:       %d of %d (vaccine, program) pairs\n",
+		rep.BenignRuns, rep.VaccinesTested*rep.ProgramsTested)
 	fmt.Fprintf(&b, "interferences:     %d\n", len(rep.Rejections))
 	for _, r := range rep.Rejections {
 		fmt.Fprintf(&b, "  rejected: %s\n", r)

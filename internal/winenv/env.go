@@ -88,6 +88,9 @@ type Env struct {
 	// snaps is the stack of open snapshots; mutation points journal
 	// prior values into it (see snapshot.go). Empty in the common case.
 	snaps []*Snapshot
+	// reads collects what the running program observes while a
+	// RecordReads is in progress; nil otherwise.
+	reads *ReadSet
 }
 
 // New creates an environment with the given host identity and a small
@@ -187,6 +190,9 @@ func (e *Env) dispatch(req Request) Result {
 	}
 	ns := e.resources[req.Kind]
 	key := canonicalName(req.Name)
+	if e.reads != nil {
+		e.reads.keys[resKey{req.Kind, key}] = struct{}{}
+	}
 	existing := ns[key]
 
 	if existing != nil && existing.ACL.denies(req.Op, req.Principal, existing.Owner) {
@@ -317,7 +323,11 @@ func (e *Env) OpenHandleCount() int { return len(e.handles) }
 
 // Lookup returns the resource with the given kind and name, or nil.
 func (e *Env) Lookup(kind ResourceKind, name string) *Resource {
-	return e.resources[kind][canonicalName(name)]
+	key := canonicalName(name)
+	if e.reads != nil {
+		e.reads.keys[resKey{kind, key}] = struct{}{}
+	}
+	return e.resources[kind][key]
 }
 
 // Exists reports whether a resource is present.
@@ -357,6 +367,9 @@ func (e *Env) Remove(kind ResourceKind, name string) bool {
 // List returns the names of all resources of a kind owned by the given
 // owner ("" matches every owner), sorted for determinism.
 func (e *Env) List(kind ResourceKind, owner string) []string {
+	if e.reads != nil {
+		e.reads.all = true
+	}
 	var names []string
 	for _, r := range e.resources[kind] {
 		if owner == "" || r.Owner == owner {
@@ -369,8 +382,33 @@ func (e *Env) List(kind ResourceKind, owner string) []string {
 
 // ResourceCount returns the total number of resources of a kind.
 func (e *Env) ResourceCount(kind ResourceKind) int {
+	if e.reads != nil {
+		e.reads.all = true
+	}
 	return len(e.resources[kind])
 }
+
+// ReadSet is what one run observed of an environment: every namespace
+// key it looked up through Do, Lookup or Exists, hit or miss, and
+// whether it used the network. A run that enumerated a namespace (List,
+// ResourceCount) observed every key. (*Snapshot).Affects decides from a
+// ReadSet whether a change since a snapshot is visible to the run.
+type ReadSet struct {
+	keys map[resKey]struct{}
+	net  bool
+	all  bool
+}
+
+// RecordReads starts collecting a ReadSet of everything the
+// environment is asked until StopReads. It replaces any set still
+// being recorded.
+func (e *Env) RecordReads() *ReadSet {
+	e.reads = &ReadSet{keys: make(map[resKey]struct{})}
+	return e.reads
+}
+
+// StopReads ends the recording RecordReads started.
+func (e *Env) StopReads() { e.reads = nil }
 
 // Clone returns a deep copy of the environment: resources, handle table,
 // identity, and last error. Hooks are NOT copied; a clone starts with

@@ -102,6 +102,9 @@ type Network struct {
 // Net returns the environment's network simulation, creating it on first
 // use.
 func (e *Env) Net() *Network {
+	if e.reads != nil {
+		e.reads.net = true
+	}
 	if e.net == nil {
 		e.net = &Network{
 			env:        e,

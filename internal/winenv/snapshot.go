@@ -1,5 +1,10 @@
 package winenv
 
+import (
+	"bytes"
+	"slices"
+)
+
 // Snapshot captures an environment state for cheap repeated rewind.
 // Unlike Clone — which deep-copies every namespace up front — a
 // snapshot records nothing at capture time and journals undo entries
@@ -189,6 +194,77 @@ func (e *Env) Reset(s *Snapshot) {
 	}
 }
 
+// Affects reports whether a run that reads rs could observe a
+// difference between the environment's current state and the open
+// snapshot s. It does when any of these differs from the snapshot: the
+// identity, last-error, tick or next-handle register, a journaled
+// handle entry, or the hook count; the network, for a run that used it;
+// or a journaled resource that rs read, compared by value, so keys
+// touched and then rewound since the snapshot (a nested slice replay
+// rewinds its own) do not count. The environment is deterministic:
+// a run whose every read returns what it returned when rs was recorded
+// against the snapshot's state repeats that run exactly, so false means
+// the run need not be made again.
+func (s *Snapshot) Affects(rs *ReadSet) bool {
+	e := s.env
+	if e.identity != s.identity || e.lastErr != s.lastErr || e.tick != s.tick ||
+		e.next != s.next || len(e.hooks) != s.hooks {
+		return true
+	}
+	for h, prior := range s.handles {
+		if e.handles[h] != prior {
+			return true
+		}
+	}
+	if rs.net && s.netChanged() {
+		return true
+	}
+	for k, prior := range s.resources {
+		if _, read := rs.keys[k]; (read || rs.all) && !sameResource(e.resources[k.kind][k.key], prior) {
+			return true
+		}
+	}
+	return false
+}
+
+// netChanged reports whether the network differs from the snapshot:
+// created or dropped since, a journaled socket or table entry changed,
+// or the socket counter, flow log or resolve hooks grown. A scripted
+// responder's dialogue state is opaque, so a network with one always
+// counts as changed.
+func (s *Snapshot) netChanged() bool {
+	n := s.env.net
+	if !s.hadNet || n == nil {
+		return s.hadNet != (n != nil)
+	}
+	if n.responder != nil || n.nextSocket != s.netNextSocket ||
+		len(n.flows) != s.netFlows || len(n.resolveHooks) != s.netHooks {
+		return true
+	}
+	for h, prior := range s.sockets {
+		if target, ok := n.sockets[h]; (sockPrior{target, ok}) != prior {
+			return true
+		}
+	}
+	for k, prior := range s.netEntries {
+		if n.entry(k.table, k.key) != prior {
+			return true
+		}
+	}
+	return false
+}
+
+// sameResource reports whether two namespace entries (nil = absent)
+// hold the same value.
+func sameResource(a, b *Resource) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.Name == b.Name && a.Owner == b.Owner &&
+		a.CreatedAt == b.CreatedAt && bytes.Equal(a.Data, b.Data) &&
+		a.ACL.OwnerOnly == b.ACL.OwnerOnly && slices.Equal(a.ACL.Deny, b.ACL.Deny)
+}
+
 // Close releases the snapshot without rewinding: the environment keeps
 // its current state. Closing out of order (not innermost-first) panics;
 // closing twice is a no-op.
@@ -275,15 +351,20 @@ func (e *Env) noteNetEntry(table netTable, key string) {
 		if _, seen := s.netEntries[k]; seen {
 			break
 		}
-		var prior netEntryPrior
-		switch table {
-		case netDNS:
-			prior.value, prior.present = e.net.dns[key]
-		case netBlackhole:
-			prior.present = e.net.blackholed[key]
-		case netRegistered:
-			prior.present = e.net.registered[key]
-		}
-		s.netEntries[k] = prior
+		s.netEntries[k] = e.net.entry(table, key)
 	}
+}
+
+// entry returns the current state of one network table entry.
+func (n *Network) entry(table netTable, key string) netEntryPrior {
+	var cur netEntryPrior
+	switch table {
+	case netDNS:
+		cur.value, cur.present = n.dns[key]
+	case netBlackhole:
+		cur.present = n.blackholed[key]
+	case netRegistered:
+		cur.present = n.registered[key]
+	}
+	return cur
 }

@@ -224,3 +224,89 @@ func TestSnapshotMisusePanics(t *testing.T) {
 
 	mustPanic("Reset of closed snapshot", func() { e.Reset(outer) })
 }
+
+func TestSnapshotAffects(t *testing.T) {
+	const read, unread = `C:\cfg\app.ini`, `C:\cfg\other.ini`
+	set := func(name, data string) func(*Env) {
+		return func(e *Env) { e.Inject(Resource{Kind: KindFile, Name: name, Owner: "system", Data: []byte(data)}) }
+	}
+	// The readers are the runs a read set is recorded from. offline
+	// looks up one present file (in another spelling) and misses one
+	// mutex; online also resolves a host; lister enumerates.
+	offline := func(e *Env) {
+		e.Exists(KindFile, `C:\CFG\APP.INI`)
+		doReq(t, e, OpOpen, KindMutex, "!Probe")
+	}
+	online := func(e *Env) {
+		offline(e)
+		e.Net().Resolve("app", "update.example")
+	}
+	lister := func(e *Env) { e.List(KindFile, "") }
+	cases := []struct {
+		name   string
+		net    bool // the network exists when the snapshot is taken
+		reader func(*Env)
+		change func(*Env)
+		want   bool
+	}{
+		{"nothing changed", false, offline, func(*Env) {}, false},
+		{"identity", false, offline, func(e *Env) {
+			id := e.Identity()
+			id.ComputerName = "WIN-OTHER"
+			e.SetIdentity(id)
+		}, true},
+		{"last error", false, offline, func(e *Env) { e.SetLastError(ErrAccessDenied) }, true},
+		{"tick", false, offline, func(e *Env) { e.tick++ }, true},
+		{"next handle", false, offline, func(e *Env) { e.next += 4 }, true},
+		{"handle opened", false, offline, func(e *Env) {
+			e.open(Request{Kind: KindMutex, Name: "!Other", Principal: "test"})
+			e.next -= 4 // leave only the handle entry changed
+		}, true},
+		{"hook added", false, offline, func(e *Env) { e.AddHook(func(Request) *Result { return nil }) }, true},
+		{"network created, run used it", false, online, func(e *Env) { e.Net() }, true},
+		{"network created, run offline", false, offline, func(e *Env) { e.Net() }, false},
+		{"network entry changed, run used it", true, online, func(e *Env) { e.Net().Blackhole("c2.example") }, true},
+		{"network entry changed, run offline", true, offline, func(e *Env) { e.Net().Blackhole("c2.example") }, false},
+		{"network flow logged, run used it", true, online, func(e *Env) { e.Net().Resolve("other", "c2.example") }, true},
+		{"resolve hook added, run used it", true, online, func(e *Env) {
+			e.Net().AddResolveHook(func(string) ResolveVerdict { return VerdictNone })
+		}, true},
+		{"responder attached, run used it", true, online, func(e *Env) { e.Net().SetResponder(refuseAllResponder{}) }, true},
+		{"read resource changed", false, offline, set(read, "v2"), true},
+		{"read miss now present", false, offline, func(e *Env) {
+			e.Inject(Resource{Kind: KindMutex, Name: "!PROBE"})
+		}, true},
+		{"read resource touched and restored", false, offline, func(e *Env) {
+			inner := e.Snapshot()
+			set(read, "v2")(e)
+			e.Remove(KindFile, read)
+			e.Reset(inner)
+			inner.Close()
+		}, false},
+		{"unread resource changed", false, offline, set(unread, "v2"), false},
+		{"reads everything, unread resource changed", false, lister, set(unread, "v2"), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := snapEnv()
+			set(read, "v1")(e)
+			set(unread, "v1")(e)
+			if c.net {
+				e.Net()
+			}
+			snap := e.Snapshot()
+			defer snap.Close()
+			rs := e.RecordReads()
+			c.reader(e)
+			e.StopReads()
+			e.Reset(snap)
+			if snap.Affects(rs) {
+				t.Fatal("the rewound state already affects the run")
+			}
+			c.change(e)
+			if got := snap.Affects(rs); got != c.want {
+				t.Errorf("Affects = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
