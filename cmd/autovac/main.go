@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		workers   = fs.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
 		timeout   = fs.Duration("timeout", 0, "bound the whole corpus run (0 = none); completed results are still emitted")
 		maxErrors = fs.Int("max-errors", 0, "stop dispatching new samples after this many failures (0 = analyse everything)")
-		prefilter = fs.Bool("static-prefilter", false, "skip Phase-I emulation of samples the static taint analysis proves candidate-free")
 		triage    = fs.Bool("static-triage", false, "Phase-0: skip emulation of samples whose statically recovered API surface holds no resource API")
 		hashN     = fs.Int("hash-corpus", 0, "append this many hash-resolving samples per band to a -corpus run (exercises -static-triage)")
 		verbose   = fs.Bool("v", false, "print per-candidate detail")
@@ -120,10 +119,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// The fault-isolated corpus run: per-sample panic containment,
 	// partial results, and an aggregated error in sample order.
 	results, stats, runErr := pipeline.AnalyzeCorpus(ctx, samples, core.CorpusOptions{
-		Workers:         *workers,
-		MaxErrors:       *maxErrors,
-		StaticPrefilter: *prefilter,
-		StaticTriage:    *triage,
+		Workers:      *workers,
+		MaxErrors:    *maxErrors,
+		StaticTriage: *triage,
 	})
 
 	pack := &vaccine.Pack{Generator: "autovac-go/1.0"}
@@ -160,9 +158,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "samples analysed:  %d/%d\n", stats.Analyzed, len(samples))
 	if *triage {
 		fmt.Fprintf(out, "triage skipped:    %d (Phase-0: no resource API in the recovered surface)\n", stats.TriageSkipped)
-	}
-	if *prefilter {
-		fmt.Fprintf(out, "statically filtered: %d (Phase-I emulation skipped)\n", stats.StaticallyFiltered)
 	}
 	if stats.Failed > 0 || stats.Skipped > 0 {
 		fmt.Fprintf(out, "failed:            %d (%d panicked)\n", stats.Failed, stats.Panicked)

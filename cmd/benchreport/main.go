@@ -43,7 +43,6 @@ func run(args []string) error {
 		timing = fs.Bool("timing", false, "run the §VI-F performance measurements")
 		evade  = fs.Bool("evasion", false, "run the §VII evasion/limitation experiments")
 		ablate = fs.Bool("ablation", false, "run the design-choice ablation study")
-		prefil = fs.Bool("prefilter", false, "run the static pre-filter study (prefilter on vs off)")
 		triage = fs.Bool("triage", false, "run the Phase-0 triage study (static API-surface recovery on vs off)")
 		epidem = fs.Bool("epidemic", false, "run the killswitch-worm vs vaccine-sync epidemic race")
 		cplane = fs.Bool("controlplane", false, "run the fleet-scale distribution study (poll vs long-poll vs binary; -relays adds the edge tier)")
@@ -74,7 +73,7 @@ func run(args []string) error {
 		// measurement that would distort the report timings around it.
 		return runFleetBench(context.Background(), *hosts, *relays, *seed, *fout)
 	}
-	if !*all && *table == 0 && *figure == 0 && !*phase1 && !*fptest && !*timing && !*evade && !*ablate && !*prefil && !*triage && !*epidem {
+	if !*all && *table == 0 && *figure == 0 && !*phase1 && !*fptest && !*timing && !*evade && !*ablate && !*triage && !*epidem {
 		*all = true
 	}
 	if *epidem && !*all {
@@ -114,8 +113,6 @@ func run(args []string) error {
 	needPhase1 := *all || *phase1 || *figure == 3 || *figure == 4 || *fptest ||
 		*table == 3 || *table == 4 || *table == 5 || *table == 6
 	var stats *experiment.Phase1Stats
-	var profiles []interface{}
-	_ = profiles
 	var gen *experiment.GenStats
 	if needPhase1 {
 		t0 := time.Now()
@@ -218,14 +215,6 @@ func run(args []string) error {
 			partial = append(partial, err)
 		} else {
 			fmt.Println(experiment.RenderEpidemic(rep))
-		}
-	}
-	if *all || *prefil {
-		st, err := setup.Prefilter(context.Background())
-		if err != nil {
-			partial = append(partial, err)
-		} else {
-			fmt.Println(experiment.RenderPrefilter(st))
 		}
 	}
 	if *all || *triage {

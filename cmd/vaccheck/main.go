@@ -60,9 +60,6 @@ func run(args []string, out io.Writer) error {
 				if analysis.TriageSkipped > 0 {
 					fmt.Fprintf(out, ", %d triage-skipped (Phase-0)", analysis.TriageSkipped)
 				}
-				if analysis.StaticallyFiltered > 0 {
-					fmt.Fprintf(out, ", %d statically filtered", analysis.StaticallyFiltered)
-				}
 				fmt.Fprintln(out)
 			}
 		}

@@ -67,13 +67,9 @@ type RunStats struct {
 	// Skipped counts samples never started because the run was
 	// cancelled or the error budget was exhausted.
 	Skipped int
-	// StaticallyFiltered counts samples the static taint pre-filter
-	// proved candidate-free, whose Phase-I emulation was skipped
-	// (subset of Analyzed).
-	StaticallyFiltered int
 	// TriageSkipped counts samples Phase-0 triage proved unable to
 	// invoke any resource API, whose emulation was skipped entirely
-	// (subset of Analyzed, disjoint from StaticallyFiltered).
+	// (subset of Analyzed).
 	TriageSkipped int
 	// SampleTimes holds per-sample wall time, indexed like the corpus
 	// (zero for skipped samples).
@@ -99,13 +95,12 @@ func (st *RunStats) MeanSampleTime() time.Duration {
 // embedded in vaccine packs and served by the fleet's /v1/metrics.
 func (st *RunStats) AnalysisStats() vaccine.AnalysisStats {
 	return vaccine.AnalysisStats{
-		Analyzed:           st.Analyzed,
-		Failed:             st.Failed,
-		Panicked:           st.Panicked,
-		Skipped:            st.Skipped,
-		StaticallyFiltered: st.StaticallyFiltered,
-		TriageSkipped:      st.TriageSkipped,
-		WallMillis:         st.Wall.Milliseconds(),
+		Analyzed:      st.Analyzed,
+		Failed:        st.Failed,
+		Panicked:      st.Panicked,
+		Skipped:       st.Skipped,
+		TriageSkipped: st.TriageSkipped,
+		WallMillis:    st.Wall.Milliseconds(),
 	}
 }
 
@@ -117,22 +112,19 @@ type CorpusOptions struct {
 	// failed (0 = no budget; the run always drains every sample).
 	// Samples already in flight still finish and are reported.
 	MaxErrors int
-	// StaticPrefilter enables the static taint pre-filter
-	// (internal/static): samples it proves candidate-free skip Phase-I
-	// emulation entirely and yield an empty Result. The static pass
-	// over-approximates the dynamic one, so generated vaccines are
-	// identical with the filter on or off; off remains the default so
-	// dynamic-only analysis stays available and testable.
-	StaticPrefilter bool
-	// StaticTriage enables Phase-0 triage (static.RecoverAPISurface):
-	// samples whose recovered API surface provably contains no
-	// resource-labelled API skip emulation entirely and yield an empty
-	// Result. Unlike StaticPrefilter's taint reachability, triage
-	// resolves register-indirect (hash-resolved) callsites against the
-	// loader image, so it also proves hash-resolving samples harmless.
-	// The surface over-approximates every execution's call set, so
-	// packs are byte-identical with triage on or off.
+	// StaticTriage enables Phase-0 triage (static.RecoverAPISurface),
+	// the one static admission gate: samples whose recovered API
+	// surface provably contains no resource-labelled API skip
+	// emulation entirely and yield an empty Result. Triage resolves
+	// register-indirect (hash-resolved) callsites against the loader
+	// image, so it also proves hash-resolving samples harmless. The
+	// surface over-approximates every execution's call set, so packs
+	// are byte-identical with triage on or off.
 	StaticTriage bool
+	// Deprecated: StaticPrefilter is ignored. The static taint
+	// pre-filter it enabled was removed; StaticTriage is the only
+	// static skip.
+	StaticPrefilter bool
 }
 
 // analyzeTestHook, when set, runs at the start of every per-sample
@@ -205,7 +197,6 @@ func (p *Pipeline) AnalyzeCorpus(ctx context.Context, samples []*malware.Sample,
 	}
 
 	errs := make([]error, len(samples))
-	filtered := make([]bool, len(samples))
 	triaged := make([]bool, len(samples))
 	var failed atomic.Int64
 	overBudget := func() bool {
@@ -217,20 +208,9 @@ func (p *Pipeline) AnalyzeCorpus(ctx context.Context, samples []*malware.Sample,
 		t0 := time.Now()
 		if opts.StaticTriage && p.provablyResourceFree(samples[i]) {
 			// Phase-0: the recovered API surface holds no resource API,
-			// so no execution can even make a resource call. Cheaper and
-			// strictly coarser than the taint pre-filter below — it is
-			// checked first and counted separately.
+			// so no execution can even make a resource call.
 			results[i] = &Result{Profile: &Profile{Sample: samples[i]}}
 			triaged[i] = true
-			stats.SampleTimes[i] = time.Since(t0)
-			return
-		}
-		if opts.StaticPrefilter && p.provablyCandidateFree(samples[i]) {
-			// The static pass proved no resource API can reach a
-			// predicate: Phase-I would find no candidates, so the
-			// emulation is skipped and the sample reports empty.
-			results[i] = &Result{Profile: &Profile{Sample: samples[i]}}
-			filtered[i] = true
 			stats.SampleTimes[i] = time.Since(t0)
 			return
 		}
@@ -283,9 +263,6 @@ func (p *Pipeline) AnalyzeCorpus(ctx context.Context, samples []*malware.Sample,
 			joined = append(joined, errs[i])
 		} else if results[i] != nil {
 			stats.Analyzed++
-			if filtered[i] {
-				stats.StaticallyFiltered++
-			}
 			if triaged[i] {
 				stats.TriageSkipped++
 			}

@@ -193,20 +193,6 @@ func (p *Pipeline) Phase1(s *malware.Sample) (*Profile, error) {
 	return prof, nil
 }
 
-// provablyCandidateFree runs the static taint pre-filter: true means
-// the static pass proved no resource-API result can reach a predicate,
-// so Phase-I emulation cannot produce candidates. Any analysis error
-// or panic answers false — the dynamic pipeline remains the authority.
-func (p *Pipeline) provablyCandidateFree(s *malware.Sample) (free bool) {
-	defer func() {
-		if recover() != nil {
-			free = false
-		}
-	}()
-	may, err := static.MayHaveCandidates(s.Program, p.registry)
-	return err == nil && !may
-}
-
 // provablyResourceFree runs the Phase-0 triage pass: true means the
 // recovered API surface (including hash-resolved indirect calls)
 // provably contains no resource-labelled API, so no execution can

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"autovac/internal/exclusive"
+	"autovac/internal/isa"
 	"autovac/internal/malware"
 	"autovac/internal/static"
 	"autovac/internal/vaccine"
@@ -74,33 +75,65 @@ func TestAPISurfaceSoundOnCorpus(t *testing.T) {
 	}
 }
 
+// candidateFreeSample builds a "fire-and-forget dropper": it marks its
+// presence in a resource namespace but never compares the result, so
+// Phase-I finds no candidate. Its surface names CreateMutexA, so
+// triage must still emulate it.
+func candidateFreeSample(t *testing.T) *malware.Sample {
+	t.Helper()
+	b := isa.NewBuilder("dropper-000")
+	mu := b.RData("mu", `Global\DROP-0`)
+	// Untainted busywork first, so its compare sees clean data only.
+	b.Mov(isa.R(isa.ECX), isa.Imm(3)).
+		Label("spin").Dec(isa.R(isa.ECX)).
+		Jnz("spin")
+	// Resource marker whose result is discarded, never compared.
+	b.CallAPI("CreateMutexA", isa.Sym(mu))
+	b.Mov(isa.R(isa.EAX), isa.Imm(0)).
+		Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &malware.Sample{
+		Spec:    &malware.Spec{Name: p.Name, Category: malware.Worm},
+		Program: p,
+	}
+}
+
 // TestTriageSkipsResourceFreeSamples checks the Phase-0 skip engages
 // on exactly the provable population: every hashtick sample (its
 // surface holds only GetTickCount/ExitProcess/CloseHandle) is skipped,
 // every resource-touching sample — including the hash-resolving mutex
-// and file bands, whose resource APIs appear in no instruction — is
-// still emulated.
+// and file bands, whose resource APIs appear in no instruction, and a
+// candidate-free dropper — is still emulated. The deprecated
+// StaticPrefilter option must not change that: triage is the only
+// static skip.
 func TestTriageSkipsResourceFreeSamples(t *testing.T) {
 	const perBand = 6
-	samples := triageCorpus(t, 5, 16, perBand)
+	samples := append(triageCorpus(t, 5, 16, perBand), candidateFreeSample(t))
 	p := New(Config{Seed: 5})
-	results, stats, err := p.AnalyzeCorpus(context.Background(), samples,
-		CorpusOptions{StaticTriage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TriageSkipped != perBand {
-		t.Errorf("TriageSkipped = %d, want %d (the hashtick band)", stats.TriageSkipped, perBand)
-	}
-	for i, res := range results {
-		if res == nil {
-			t.Errorf("sample %d: missing result", i)
-			continue
+	for _, opts := range []CorpusOptions{
+		{StaticTriage: true},
+		{StaticTriage: true, StaticPrefilter: true},
+	} {
+		results, stats, err := p.AnalyzeCorpus(context.Background(), samples, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		skipped := res.Profile.Normal == nil
-		isTick := strings.HasPrefix(samples[i].Name(), "hashtick")
-		if skipped != isTick {
-			t.Errorf("%s: skipped=%v, want %v", samples[i].Name(), skipped, isTick)
+		if stats.TriageSkipped != perBand {
+			t.Errorf("%+v: TriageSkipped = %d, want %d (the hashtick band)", opts, stats.TriageSkipped, perBand)
+		}
+		for i, res := range results {
+			if res == nil {
+				t.Errorf("%+v: sample %d: missing result", opts, i)
+				continue
+			}
+			skipped := res.Profile.Normal == nil
+			isTick := strings.HasPrefix(samples[i].Name(), "hashtick")
+			if skipped != isTick {
+				t.Errorf("%+v: %s: skipped=%v, want %v", opts, samples[i].Name(), skipped, isTick)
+			}
 		}
 	}
 }

@@ -13,14 +13,13 @@ import (
 
 // TriageStudy compares a full corpus analysis with Phase-0 static
 // triage off (the dynamic baseline) and on, over the stock corpus plus
-// the hash-resolving bands — the population the triage pass was built
-// for, since only register-indirect callsites distinguish it from the
-// taint pre-filter. The recovered API surface over-approximates every
-// execution's call set, so the two runs must produce byte-identical
-// vaccine packs; the study reports how many samples triage proved
-// unable to make any resource call (emulation skipped outright), the
-// wall-clock on both sides, and flags any pack divergence as a
-// soundness violation.
+// the hash-resolving bands — the population triage can skip, since
+// every stock behaviour calls a resource API by name. The recovered
+// API surface over-approximates every execution's call set, so the two
+// runs must produce byte-identical vaccine packs; the study reports
+// how many samples triage proved unable to make any resource call
+// (emulation skipped outright), the wall-clock on both sides, and
+// flags any pack divergence as a soundness violation.
 type TriageStudy struct {
 	// Samples is the total corpus size both runs covered (stock corpus
 	// plus the appended hash-resolving bands).

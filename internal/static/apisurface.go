@@ -812,3 +812,13 @@ func SurfaceResourceFree(p *isa.Program, reg *winapi.Registry) (bool, error) {
 	}
 	return !surf.AnyResource(reg), nil
 }
+
+// MayHaveCandidates reports whether Phase-I emulation of the program
+// could yield a candidate. Every candidate is a resource call, so this
+// is the negation of SurfaceResourceFree.
+//
+// Deprecated: use SurfaceResourceFree, the one static admission gate.
+func MayHaveCandidates(p *isa.Program, reg *winapi.Registry) (bool, error) {
+	free, err := SurfaceResourceFree(p, reg)
+	return !free, err
+}

@@ -1,22 +1,19 @@
 // Package static is the binary-level static analysis layer over the isa
 // IR. Where the rest of the reproduction is dynamic (taint tracking,
 // predicate detection, and backward slicing over emulated traces, paper
-// §III–IV), this package answers the same questions from the program
+// §III–IV), this package answers questions about a program from its
 // text alone, in the style of static system-call-identification work
 // (B-Side et al., see PAPERS.md):
 //
 //   - CFG construction (basic blocks, successors, reverse postorder)
 //     and reaching definitions / def-use chains over registers, flags,
 //     and symbolic memory operands (cfg.go, defuse.go);
-//   - API-surface recovery, the Phase-0 triage pass: a forward
-//     dataflow over an abstract domain that folds constants, tracks
-//     ESP, and reads the loader image, resolving which APIs a program
-//     can call, including through computed addresses (apisurface.go).
-//     Its transfer is the package's one constant folder;
-//   - a static taint pre-filter deciding, per resource-API callsite,
-//     whether the call's result can possibly reach a cmp/test + jcc
-//     predicate — Phase-I skips emulating samples the pass proves
-//     candidate-free (taintflow.go);
+//   - API-surface recovery, the Phase-0 triage pass and the
+//     pipeline's one static admission gate: a forward dataflow over an
+//     abstract domain that folds constants, tracks ESP, and reads the
+//     loader image, resolving which APIs a program can call, including
+//     through computed addresses (apisurface.go). Its transfer is the
+//     package's one constant folder;
 //   - a static backward slice over-approximating the dynamic slices of
 //     determinism analysis, used to cross-check soundness (slice.go);
 //   - a slice verifier rejecting non-replayable extracted slices

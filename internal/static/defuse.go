@@ -67,8 +67,7 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+func (b bitset) set(i int) { b[i/64] |= 1 << uint(i%64) }
 
 // or merges o into b, reporting whether b changed.
 func (b bitset) or(o bitset) bool {

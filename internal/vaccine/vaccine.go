@@ -175,9 +175,6 @@ type AnalysisStats struct {
 	Panicked int
 	// Skipped counts samples never started (cancellation/error budget).
 	Skipped int
-	// StaticallyFiltered counts samples the static taint pre-filter
-	// proved candidate-free, skipping their Phase-I emulation.
-	StaticallyFiltered int `json:",omitempty"`
 	// TriageSkipped counts samples Phase-0 triage proved unable to
 	// invoke any resource API (recovered API surface), skipping their
 	// emulation entirely.
@@ -193,7 +190,6 @@ func (a *AnalysisStats) Add(b AnalysisStats) {
 	a.Failed += b.Failed
 	a.Panicked += b.Panicked
 	a.Skipped += b.Skipped
-	a.StaticallyFiltered += b.StaticallyFiltered
 	a.TriageSkipped += b.TriageSkipped
 	a.WallMillis += b.WallMillis
 }
