@@ -14,8 +14,7 @@
 package alignment
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"autovac/internal/trace"
 )
@@ -29,20 +28,39 @@ type Key struct {
 	Params   string
 }
 
-// KeyOf derives the alignment key of a call record.
+// KeyOf derives the alignment key of a call record. Params lists the
+// static arguments as "i=str", or "i=0x…" when there is no string,
+// joined by "|"; it is built in a stack buffer, so the key costs at
+// most the one Params string.
 func KeyOf(c trace.APICall) Key {
-	var parts []string
+	var buf [128]byte
+	b := buf[:0]
 	for i, a := range c.Args {
 		if !a.Static {
 			continue
 		}
+		if len(b) > 0 {
+			b = append(b, '|')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '=')
 		if a.Str != "" {
-			parts = append(parts, fmt.Sprintf("%d=%s", i, a.Str))
+			b = append(b, a.Str...)
 		} else {
-			parts = append(parts, fmt.Sprintf("%d=%#x", i, a.Raw))
+			b = append(b, "0x"...)
+			b = strconv.AppendUint(b, uint64(a.Raw), 16)
 		}
 	}
-	return Key{API: c.API, CallerPC: c.CallerPC, Params: strings.Join(parts, "|")}
+	return Key{API: c.API, CallerPC: c.CallerPC, Params: string(b)}
+}
+
+// KeysOf returns the alignment key of every call, in order.
+func KeysOf(calls []trace.APICall) []Key {
+	keys := make([]Key, len(calls))
+	for i := range calls {
+		keys[i] = KeyOf(calls[i])
+	}
+	return keys
 }
 
 // SameContexts reports whether two call lists agree call by call on
@@ -58,18 +76,28 @@ func SameContexts(a, b []trace.APICall) bool {
 		return false
 	}
 	for i := range a {
-		x, y := &a[i], &b[i]
-		if x.API != y.API || x.CallerPC != y.CallerPC || x.Success != y.Success || len(x.Args) != len(y.Args) {
+		if a[i].Success != b[i].Success || !sameContext(&a[i], &b[i]) {
 			return false
 		}
-		for j := range x.Args {
-			p, q := &x.Args[j], &y.Args[j]
-			if p.Static != q.Static {
-				return false
-			}
-			if p.Static && (p.Str != q.Str || (p.Str == "" && p.Raw != q.Raw)) {
-				return false
-			}
+	}
+	return true
+}
+
+// sameContext reports whether two calls agree on every field KeyOf
+// reads: API, caller PC, and each argument's static flag and, for
+// static arguments, the string (or the raw value when there is no
+// string). Agreement implies equal keys.
+func sameContext(x, y *trace.APICall) bool {
+	if x.API != y.API || x.CallerPC != y.CallerPC || len(x.Args) != len(y.Args) {
+		return false
+	}
+	for j := range x.Args {
+		p, q := &x.Args[j], &y.Args[j]
+		if p.Static != q.Static {
+			return false
+		}
+		if p.Static && (p.Str != q.Str || (p.Str == "" && p.Raw != q.Raw)) {
+			return false
 		}
 	}
 	return true
@@ -112,40 +140,63 @@ const maxLCSCells = 16 << 20
 // Align computes the difference sets between a mutated and a natural
 // call trace.
 func Align(mutated, natural []trace.APICall) Diff {
+	return AlignKeyed(mutated, natural, KeysOf(natural))
+}
+
+// AlignKeyed is Align with the natural trace's keys computed by the
+// caller (keysN must be KeysOf(natural)), so many mutated runs can be
+// aligned against one natural run without rekeying it.
+//
+// The result is the LCS alignment over the full traces. The common
+// prefix is matched without a table: the traceback takes a match
+// whenever the keys are equal, so it walks that prefix diagonally, and
+// the table cells it reads afterwards depend only on the keys after the
+// prefix. A common suffix is not trimmed, because the traceback's
+// tie-breaking would then pick a different alignment. The greedy
+// fallback is decided on the untrimmed sizes.
+func AlignKeyed(mutated, natural []trace.APICall, keysN []Key) Diff {
 	m, n := len(mutated), len(natural)
 	if m > 0 && n > 0 && m*n > maxLCSCells {
 		return AlignGreedy(mutated, natural)
 	}
-	keysM := make([]Key, m)
-	for i, c := range mutated {
-		keysM[i] = KeyOf(c)
-	}
-	keysN := make([]Key, n)
-	for i, c := range natural {
-		keysN[i] = KeyOf(c)
-	}
 
-	// LCS table over context keys.
-	lcs := make([][]int32, m+1)
-	for i := range lcs {
-		lcs[i] = make([]int32, n+1)
+	var d Diff
+	p := 0
+	for p < m && p < n && (sameContext(&mutated[p], &natural[p]) || KeyOf(mutated[p]) == keysN[p]) {
+		d.Aligned++
+		if mutated[p].Success != natural[p].Success {
+			d.Flips = append(d.Flips, Flip{Mutated: mutated[p], Natural: natural[p]})
+		}
+		p++
 	}
+	mutated, natural, keysN = mutated[p:], natural[p:], keysN[p:]
+	m, n = len(mutated), len(natural)
+	if m == 0 || n == 0 {
+		d.DeltaM = append(d.DeltaM, mutated...)
+		d.DeltaN = append(d.DeltaN, natural...)
+		return d
+	}
+	keysM := KeysOf(mutated)
+
+	// LCS table over context keys: row i starts at i*w.
+	w := n + 1
+	lcs := make([]int32, (m+1)*w)
 	for i := m - 1; i >= 0; i-- {
 		for j := n - 1; j >= 0; j-- {
+			at := i*w + j
 			if keysM[i] == keysN[j] {
-				lcs[i][j] = lcs[i+1][j+1] + 1
-			} else if lcs[i+1][j] >= lcs[i][j+1] {
-				lcs[i][j] = lcs[i+1][j]
+				lcs[at] = lcs[at+w+1] + 1
+			} else if lcs[at+w] >= lcs[at+1] {
+				lcs[at] = lcs[at+w]
 			} else {
-				lcs[i][j] = lcs[i][j+1]
+				lcs[at] = lcs[at+1]
 			}
 		}
 	}
 
-	var d Diff
 	i, j := 0, 0
 	for i < m && j < n {
-		switch {
+		switch at := i*w + j; {
 		case keysM[i] == keysN[j]:
 			d.Aligned++
 			if mutated[i].Success != natural[j].Success {
@@ -153,7 +204,7 @@ func Align(mutated, natural []trace.APICall) Diff {
 			}
 			i++
 			j++
-		case lcs[i+1][j] >= lcs[i][j+1]:
+		case lcs[at+w] >= lcs[at+1]:
 			d.DeltaM = append(d.DeltaM, mutated[i])
 			i++
 		default:

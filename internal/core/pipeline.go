@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"autovac/internal/alignment"
 	"autovac/internal/c2"
 	"autovac/internal/clinic"
 	"autovac/internal/deploy"
@@ -232,10 +233,13 @@ type Result struct {
 // phase2Arena holds the pooled execution state shared by every
 // candidate of one Phase-II pass: a Runner that rewinds the sample's
 // mutated re-executions instead of rebuilding CPU and environment per
-// candidate, and one environment reused across slice sanity replays
-// (Replay rewinds it itself).
+// candidate, the natural trace's alignment keys that every mutated run
+// is classified against, and one environment reused across slice
+// sanity replays (Replay rewinds it itself), built by the first
+// algorithm-deterministic candidate.
 type phase2Arena struct {
 	runner    *emu.Runner
+	keysN     []alignment.Key
 	replayEnv *winenv.Env
 }
 
@@ -254,7 +258,7 @@ func (p *Pipeline) Phase2(prof *Profile) (*Result, error) {
 		}
 		defer runner.Close()
 		arena.runner = runner
-		arena.replayEnv = p.newEnv()
+		arena.keysN = alignment.KeysOf(prof.Normal.Calls)
 	}
 
 	for _, cand := range prof.Candidates {
@@ -404,7 +408,7 @@ func (p *Pipeline) generateOne(prof *Profile, cand Candidate, arena *phase2Arena
 		if err != nil {
 			return nil, &Rejection{Candidate: cand, Stage: "impact", Reason: err.Error()}
 		}
-		r := impact.Classify(mutated, prof.Normal)
+		r := impact.ClassifyKeyed(mutated, prof.Normal, arena.keysN)
 		if r.Immunizing() {
 			best = &r
 			bestMode = mode
@@ -460,6 +464,9 @@ func (p *Pipeline) generateOne(prof *Profile, cand Candidate, arena *phase2Arena
 		}
 		// Sanity: the slice replays to the observed identifier on the
 		// analysis machine.
+		if arena.replayEnv == nil {
+			arena.replayEnv = p.newEnv()
+		}
 		got, err := sl.Replay(arena.replayEnv, p.cfg.Seed)
 		if err != nil || !strings.EqualFold(got, call.Identifier) {
 			return nil, &Rejection{

@@ -275,23 +275,25 @@ func (c *CPU) step() error {
 	return nil
 }
 
-// accessChunkSize is the arena granularity for step access records.
-const accessChunkSize = 4096
+// Step access records are carved from chunks of firstAccessChunk
+// entries, doubling per chunk up to accessChunkSize. A short run (a few
+// hundred accesses) clears and scans only what it uses.
+const (
+	firstAccessChunk = 256
+	accessChunkSize  = 4096
+)
 
 // claimAccesses copies the staged per-step accesses into the CPU's
 // access arena and returns a capacity-capped subslice. The seed code
 // allocated two fresh slices per recorded step; the arena amortises
-// that to one allocation per accessChunkSize records. Chunks are never
-// pooled — the returned subslices escape into the retained trace.
+// that to one allocation per chunk. Chunks are never pooled — the
+// returned subslices escape into the retained trace.
 func (c *CPU) claimAccesses(src []trace.Access) []trace.Access {
 	if len(src) == 0 {
 		return nil
 	}
 	if len(c.accessArena)+len(src) > cap(c.accessArena) {
-		n := accessChunkSize
-		if len(src) > n {
-			n = len(src)
-		}
+		n := max(min(2*cap(c.accessArena), accessChunkSize), firstAccessChunk, len(src))
 		c.accessArena = make([]trace.Access, 0, n)
 	}
 	start := len(c.accessArena)

@@ -51,7 +51,8 @@ func (l LayoutInfo) Writable(addr, n uint32) bool {
 
 // Layout computes the load-time layout the emulator would produce for
 // the program, by running the real loader against a scratch address
-// space. It never executes instructions.
+// space and adding the per-run stack, which sits above every loaded
+// segment. It never executes instructions.
 func Layout(p *isa.Program) LayoutInfo {
 	m := &memory{}
 	symbols := m.loadProgram(p)
@@ -64,5 +65,10 @@ func Layout(p *isa.Program) LayoutInfo {
 			ReadOnly: s.readOnly,
 		})
 	}
+	info.Segments = append(info.Segments, SegmentInfo{
+		Name: "stack",
+		Base: StackTop - StackSize,
+		Size: uint32(stackBytes),
+	})
 	return info
 }

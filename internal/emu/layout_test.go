@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"reflect"
 	"testing"
 
 	"autovac/internal/isa"
@@ -103,5 +104,24 @@ func TestLayoutMappedWritableWraparound(t *testing.T) {
 	wrapN := uint32(0) - last + 0x10
 	if l.Mapped(last, wrapN) {
 		t.Error("range wrapping past zero reported mapped")
+	}
+}
+
+// TestLayoutMatchesRuntimeMemory holds Layout, which adds the stack
+// from its constants, to the address space a run maps.
+func TestLayoutMatchesRuntimeMemory(t *testing.T) {
+	prog := minimalProgram(t)
+	d, err := decodedFor(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMemoryFrom(d)
+	defer m.release()
+	var run []SegmentInfo
+	for _, s := range m.segs {
+		run = append(run, SegmentInfo{Name: s.name, Base: s.base, Size: uint32(len(s.data)), ReadOnly: s.readOnly})
+	}
+	if got := Layout(prog).Segments; !reflect.DeepEqual(got, run) {
+		t.Errorf("Layout segments %+v, run maps %+v", got, run)
 	}
 }

@@ -29,6 +29,10 @@ const (
 	StackSize uint32 = 0x00010000
 )
 
+// stackBytes is the mapped size of the stack segment at
+// StackTop-StackSize: the reserved stack plus 16 bytes above StackTop.
+const stackBytes = int(StackSize) + 16
+
 // ErrBadAccess is wrapped by memory faults.
 var ErrBadAccess = fmt.Errorf("emu: bad memory access")
 
@@ -187,7 +191,7 @@ func (s *segment) releaseShadow() {
 // allocation; pooling it makes repeated Phase-II replays alloc-free.
 var stackPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, int(StackSize)+16)
+		b := make([]byte, stackBytes)
 		return &b
 	},
 }
@@ -525,7 +529,9 @@ func (m *memory) mapStack() {
 	m.insert(s)
 }
 
-// loadProgram maps a program's data items and returns the symbol table.
+// loadProgram maps a program's data items and the loader image and
+// returns the symbol table. It maps no stack: a run borrows one from
+// stackPool (newMemoryFrom), and Layout reports its fixed bounds.
 func (m *memory) loadProgram(p *isa.Program) map[string]uint32 {
 	symbols := make(map[string]uint32)
 	// Two bump allocators: one per segment class.
@@ -561,7 +567,6 @@ func (m *memory) loadProgram(p *isa.Program) map[string]uint32 {
 	place(roItems, &roNext, true, ".rdata")
 	place(rwItems, &rwNext, false, ".data")
 	m.mapLoader()
-	m.mapSegment("stack", StackTop-StackSize, int(StackSize)+16, false)
 	return symbols
 }
 

@@ -297,9 +297,21 @@ func TestLoadProgramLayout(t *testing.T) {
 	if bt, _, err := m.readByte(symbols["ro1"] + uint32(len("const-one")) + 1); err != nil || bt != 0 {
 		t.Errorf("guard byte = %#x, %v", bt, err)
 	}
-	// Stack mapped.
-	if err := m.writeWord(StackTop-4, 1, taint.Set{}); err != nil {
+	// The loader maps no stack; the runtime address space does.
+	if err := m.writeWord(StackTop-4, 1, taint.Set{}); err == nil {
+		t.Error("loader mapped a stack")
+	}
+	d, err := decodedFor(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newMemoryFrom(d)
+	defer rt.release()
+	if err := rt.writeWord(StackTop-4, 1, taint.Set{}); err != nil {
 		t.Errorf("stack write: %v", err)
+	}
+	if err := rt.writeWord(StackTop-StackSize, 1, taint.Set{}); err != nil {
+		t.Errorf("stack bottom write: %v", err)
 	}
 }
 

@@ -86,9 +86,6 @@ func predecode(p *isa.Program) (*decoded, error) {
 	symbols := scratch.loadProgram(p)
 	d := &decoded{symbols: symbols}
 	for _, s := range scratch.segs {
-		if s.name == "stack" {
-			continue // the stack is per-run, pool-backed
-		}
 		d.segs = append(d.segs, segImage{
 			base:     s.base,
 			image:    s.data,

@@ -179,3 +179,58 @@ func TestOneShotRunSteadyStateBudget(t *testing.T) {
 		t.Errorf("one-shot run allocated %.0f objects (budget %d)", n, budget)
 	}
 }
+
+// TestStepAccessArenaGrowth records more step accesses than
+// accessChunkSize holds, so the arena crosses every chunk size from
+// firstAccessChunk up. Each step's records stay capacity-capped (an
+// append copies instead of overwriting the next step's), and a pooled
+// run still serialises like a one-shot run.
+func TestStepAccessArenaGrowth(t *testing.T) {
+	prog := hotLoop(4000)
+	opts := Options{Seed: 3, RecordSteps: true}
+	c, err := New(prog, winenv.New(winenv.DefaultIdentity()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := c.Execute()
+	if got := cap(c.accessArena); got != accessChunkSize {
+		t.Errorf("last chunk holds %d records, want %d", got, accessChunkSize)
+	}
+	c.Release()
+	total := 0
+	for _, st := range tr.Steps {
+		total += len(st.Reads) + len(st.Writes)
+		if cap(st.Reads) != len(st.Reads) || cap(st.Writes) != len(st.Writes) {
+			t.Fatalf("step %d: reads %d/%d, writes %d/%d (len/cap)",
+				st.Index, len(st.Reads), cap(st.Reads), len(st.Writes), cap(st.Writes))
+		}
+	}
+	if grown := 2*accessChunkSize - firstAccessChunk; total <= grown {
+		t.Fatalf("run recorded %d accesses, want more than %d", total, grown)
+	}
+
+	before := traceJSON(t, tr)
+	for i := range tr.Steps {
+		st := &tr.Steps[i]
+		_ = append(st.Reads, trace.Access{Value: 0xDEAD})
+		_ = append(st.Writes, trace.Access{Value: 0xBEEF})
+	}
+	if traceJSON(t, tr) != before {
+		t.Error("appending to one step's records changed another step's")
+	}
+
+	r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for run := 0; run < 2; run++ {
+		pooled, err := r.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traceJSON(t, pooled) != before {
+			t.Fatalf("pooled run %d diverged from the one-shot run", run)
+		}
+	}
+}

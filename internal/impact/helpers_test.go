@@ -1,6 +1,7 @@
 package impact
 
 import (
+	"reflect"
 	"testing"
 
 	"autovac/internal/alignment"
@@ -116,5 +117,9 @@ func TestClassifyWithGreedyOption(t *testing.T) {
 		if r.Primary != Full {
 			t.Errorf("opts %+v: primary = %v", opts, r.Primary)
 		}
+	}
+	keyed := ClassifyKeyed(mutated, natural, alignment.KeysOf(natural.Calls))
+	if want := Classify(mutated, natural); !reflect.DeepEqual(keyed, want) {
+		t.Errorf("ClassifyKeyed = %+v, Classify = %+v", keyed, want)
 	}
 }

@@ -105,6 +105,19 @@ func ClassifyWith(mutated, natural *trace.Trace, opts Options) Result {
 	} else {
 		d = alignment.AlignTraces(mutated, natural)
 	}
+	return classify(d, mutated, natural, opts)
+}
+
+// ClassifyKeyed is Classify with the natural trace's alignment keys
+// computed by the caller (keysN must be alignment.KeysOf(natural.Calls)),
+// for classifying many mutated runs against one natural run.
+func ClassifyKeyed(mutated, natural *trace.Trace, keysN []alignment.Key) Result {
+	return classify(alignment.AlignKeyed(mutated.Calls, natural.Calls, keysN), mutated, natural, Options{})
+}
+
+// classify derives the immunization effects from the alignment diff d
+// of mutated against natural.
+func classify(d alignment.Diff, mutated, natural *trace.Trace, opts Options) Result {
 	var effects []Effect
 
 	// Full immunization: the mutated run newly terminates itself
