@@ -138,8 +138,7 @@ func measureCodec(rep *fleetReport, n int) error {
 	decJSON := row("DeltaDecode/json", 0, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var out fleet.DeltaResponse
-			if err := json.Unmarshal(jsonBody.Bytes(), &out); err != nil {
+			if _, err := fleet.DecodeDeltaJSON(jsonBody.Bytes()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -10,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"autovac/internal/core"
@@ -153,6 +157,41 @@ func TestAgentReusesConnection(t *testing.T) {
 	}
 	if n := dials.Load(); n > 1 {
 		t.Fatalf("%d syncs dialled %d connections, want 1", syncs, n)
+	}
+}
+
+// TestReadBodySizesFromContentLength pins the sized body read: a body
+// of its declared length lands in one buffer of that length plus the
+// byte the EOF read needs, a wrong, missing or over-cap length still
+// reads the whole body without presizing, and a read error surfaces.
+func TestReadBodySizesFromContentLength(t *testing.T) {
+	body := bytes.Repeat([]byte("delta"), 1000)
+	n := int64(len(body))
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		presized bool
+	}{
+		{"exact", n, true},
+		{"longer than the body", n + 100, true},
+		{"shorter than the body", n / 2, false},
+		{"unknown", -1, false},
+		{"past the cap", maxPresizedBody + 1, false},
+	} {
+		got, err := readBody(bytes.NewReader(body), tc.declared)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%s: read %d bytes, err %v; want the %d-byte body", tc.name, len(got), err, n)
+		}
+		if tc.presized && int64(cap(got)) != tc.declared+1 {
+			t.Errorf("%s: buffer cap %d, want the declared %d plus one", tc.name, cap(got), tc.declared)
+		}
+		if !tc.presized && int64(cap(got)) > 4*n {
+			t.Errorf("%s: buffer cap %d for a %d-byte body", tc.name, cap(got), n)
+		}
+	}
+	boom := errors.New("connection reset")
+	if _, err := readBody(io.MultiReader(bytes.NewReader(body), iotest.ErrReader(boom)), n); !errors.Is(err, boom) {
+		t.Fatalf("read error %v, want %v", err, boom)
 	}
 }
 

@@ -7,7 +7,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -253,8 +252,8 @@ func BenchmarkDeltaCodec(b *testing.B) {
 	b.Run("decode/json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var out DeltaResponse
-			if err := json.Unmarshal(jsonBody, &out); err != nil {
+			out, err := DecodeDeltaJSON(jsonBody)
+			if err != nil {
 				b.Fatal(err)
 			}
 			if len(out.Vaccines) != 64 {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -118,6 +117,11 @@ func (c *syncClient) add(n *int) {
 	c.mu.Unlock()
 }
 
+// maxPresizedBody caps the buffer do sizes from a response's
+// Content-Length before a byte arrives, so a hostile header cannot make
+// a client allocate up to maxDeltaPayload up front.
+const maxPresizedBody = 16 << 20
+
 // do performs one request and reads its whole body, bounded by
 // maxDeltaPayload, before closing it: a body closed unread makes the
 // transport drop the keep-alive connection, so the next request would
@@ -128,7 +132,7 @@ func (c *syncClient) do(req *http.Request) (*http.Response, []byte, error) {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxDeltaPayload+1))
+	body, err := readBody(io.LimitReader(resp.Body, maxDeltaPayload+1), resp.ContentLength)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,6 +140,32 @@ func (c *syncClient) do(req *http.Request) (*http.Response, []byte, error) {
 		return nil, nil, fmt.Errorf("%s %s: body exceeds %d bytes", req.Method, req.URL.Path, maxDeltaPayload)
 	}
 	return resp, body, nil
+}
+
+// readBody reads r to EOF like io.ReadAll, but into a buffer of the
+// declared length n plus one byte (room for the read that returns EOF)
+// when 0 <= n <= maxPresizedBody, so a body of the declared length is
+// read without growing or copying the buffer. Past that, or with no
+// length, the buffer grows as io.ReadAll grows it.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	size := 512
+	if 0 <= n && n <= maxPresizedBody {
+		size = int(n) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // fetch performs one GET /v1/packs round trip at the cursor. A nil
@@ -185,17 +215,13 @@ func (c *syncClient) fetch(ctx context.Context) (*DeltaResponse, error) {
 // and ETag are untouched, so the next attempt re-fetches from
 // known-good state.
 func decodeDelta(contentType string, body []byte, since uint64) (*DeltaResponse, error) {
-	var d *DeltaResponse
+	decode := DecodeDeltaJSON
 	if isBinaryDelta(contentType) {
-		var err error
-		if d, err = DecodeDeltaBinary(body); err != nil {
-			return nil, err
-		}
-	} else {
-		d = new(DeltaResponse)
-		if err := json.Unmarshal(body, d); err != nil {
-			return nil, err
-		}
+		decode = DecodeDeltaBinary
+	}
+	d, err := decode(body)
+	if err != nil {
+		return nil, err
 	}
 	if d.ETag == "" {
 		return nil, errors.New("delta missing ETag")

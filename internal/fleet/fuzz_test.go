@@ -13,10 +13,11 @@ import (
 )
 
 // corpusPackOnce builds one real vaccine pack by running the actual
-// analysis pipeline over a slice of the 64-sample corpus — the same
-// content the fleet ships in production, so the fuzz seeds carry real
-// IDs, identifiers, patterns, and replay slices. Built once; fuzzing
-// and seeding share it.
+// analysis pipeline over a slice of the 64-sample corpus plus the
+// Conficker and Sality family samples — the same content the fleet
+// ships in production, so the fuzz seeds carry real IDs, identifiers,
+// and (from the two families' host-derived mutexes) replay slices.
+// Built once; fuzzing and seeding share it.
 var corpusPackOnce = sync.OnceValues(func() ([]vaccine.Vaccine, error) {
 	benign, err := malware.BenignCorpus()
 	if err != nil {
@@ -35,8 +36,16 @@ var corpusPackOnce = sync.OnceValues(func() ([]vaccine.Vaccine, error) {
 	// A slice of the corpus keeps the seed build fast (it runs once per
 	// fuzz worker process) while still spanning several families — and
 	// with them identifier classes.
+	samples = samples[:6]
+	for _, f := range []malware.Family{malware.Conficker, malware.Sality} {
+		s, err := gen.FamilySample(f)
+		if err != nil {
+			return nil, err
+		}
+		samples = append(samples, s)
+	}
 	var vs []vaccine.Vaccine
-	for _, s := range samples[:6] {
+	for _, s := range samples {
 		res, err := pipeline.Analyze(s)
 		if err != nil {
 			continue // a sample the pipeline refuses is fine for seeding

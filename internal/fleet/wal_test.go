@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"autovac/internal/determinism"
+	"autovac/internal/emu"
+	"autovac/internal/isa"
+	"autovac/internal/vaccine"
 )
 
 // openTestRegistry opens a persistent registry in dir, failing the
@@ -208,6 +214,120 @@ func TestWALCompaction(t *testing.T) {
 	}
 	if r2.Latest() != 23 {
 		t.Fatalf("post-reboot version %d, want 23", r2.Latest())
+	}
+}
+
+// TestWALCrashAtEveryByte simulates a crash at every byte of the last
+// segment: a few batches, one carrying a slice-bearing vaccine, are
+// published and sealed, then a copy of the log cut to each length from
+// 0 to the segment's full size is reopened. Each reboot must recover
+// exactly the records in whole frames, report the cut-off bytes, and
+// cut the file back to the last frame boundary, and a second reboot
+// must find nothing to truncate.
+func TestWALCrashAtEveryByte(t *testing.T) {
+	orig := syncDir
+	syncDir = func(string) error { return nil }
+	defer func() { syncDir = orig }()
+
+	// A slice-bearing vaccine whose replay writes one byte of its data.
+	b := isa.NewBuilder("crash-slice")
+	buf := b.Buf("name", 4)
+	prog, err := b.Mov(isa.R(isa.EBX), isa.Sym(buf)).Movb(isa.Mem(isa.EBX, 0), isa.Imm('A')).Halt().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliced := staticVaccine("crash/mutex/slice", "CRASH-SLICE")
+	sliced.Class = determinism.AlgorithmDeterministic
+	sliced.Slice = &determinism.Slice{Program: prog, ResultAddr: emu.DataBase, API: "CreateMutexA", SourceSteps: 2}
+	batches := [][]vaccine.Vaccine{testVaccines("crash-a", 2), {sliced}, testVaccines("crash-b", 2)}
+	src := t.TempDir()
+	r := openTestRegistry(t, src)
+	for _, batch := range batches {
+		if _, _, err := r.Publish(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := walSegments(t, src)
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame boundaries, and the registry an in-memory publish of
+	// the vaccines in the first k whole frames builds.
+	bounds := []int{0}
+	for off := 0; off+8 <= len(data); {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		bounds = append(bounds, off)
+	}
+	all := slices.Concat(batches...)
+	if len(bounds) != len(all)+1 || bounds[len(all)] != len(data) {
+		t.Fatalf("frame boundaries %v do not cover %d records in %d bytes", bounds, len(all), len(data))
+	}
+	type state struct {
+		latest uint64
+		etag   string
+	}
+	want := make([]state, len(all)+1)
+	for k := range want {
+		ref := NewRegistry(0)
+		if _, _, err := ref.Publish(all[:k]...); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = state{ref.Latest(), ref.Delta(0).ETag}
+	}
+
+	dir := t.TempDir()
+	seg := filepath.Join(dir, filepath.Base(segs[0]))
+	frames := 0
+	for cut := 0; cut <= len(data); cut++ {
+		for frames+1 < len(bounds) && bounds[frames+1] <= cut {
+			frames++
+		}
+		if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for boot := 0; boot < 2; boot++ {
+			r, err := OpenRegistry(dir, 0)
+			if err != nil {
+				t.Fatalf("cut %d boot %d: %v", cut, boot, err)
+			}
+			truncated := int64(0)
+			if boot == 0 {
+				truncated = int64(cut - bounds[frames])
+			}
+			if got := r.Recovery().TruncatedBytes; got != truncated {
+				t.Fatalf("cut %d boot %d: truncated %d bytes, want %d", cut, boot, got, truncated)
+			}
+			if got := (state{r.Latest(), r.Delta(0).ETag}); got != want[frames] {
+				t.Fatalf("cut %d boot %d: registry %+v, want %+v (%d whole frames)", cut, boot, got, want[frames], frames)
+			}
+			// Release the segment this boot opened without Close's
+			// fsync, the cost that would dominate the test: nothing was
+			// appended to it.
+			if err := r.wal.f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != int64(bounds[frames]) {
+				t.Fatalf("cut %d boot %d: segment is %d bytes, want %d", cut, boot, st.Size(), bounds[frames])
+			}
+		}
+		// Drop the empty segments the two boots opened, so the next cut
+		// boots from the cut segment alone.
+		for seq := 2; seq <= 3; seq++ {
+			if err := os.Remove(segmentPath(dir, seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
