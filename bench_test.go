@@ -1,32 +1,31 @@
 // Benchmark harness: one benchmark per evaluation table and figure of
-// the paper (§VI), plus the §VI-F performance measurements (vaccine
-// generation overhead, backward slicing, impact analysis, deployment,
-// and daemon hook overhead). Run with:
+// the paper (§VI), plus the micro-benchmarks of experiment's bench
+// table: the §VI-F performance measurements (vaccine generation,
+// backward slicing, impact analysis, deployment, daemon hook overhead),
+// the emulator data path and the delta codec. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The table/figure benchmarks use a reduced corpus per iteration (the
 // Table II category mix is preserved); `go run ./cmd/benchreport -all`
-// regenerates the same outputs at the paper's full 1,716-sample scale.
-// The fleet distribution layer has its own benchmarks following the
-// same conventions: `go test -bench=. -benchmem ./internal/fleet`
+// regenerates the same outputs at the paper's full 1,716-sample scale,
+// and `go run ./cmd/benchreport -bench` times the bench table's rows
+// with repetitions and spread. The fleet distribution layer has its own
+// benchmarks following the same conventions:
+// `go test -bench=. -benchmem ./internal/fleet`
 // (BenchmarkRegistryDeltaSync, BenchmarkCheckin, BenchmarkRegistryPublish).
 package autovac_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"autovac/internal/alignment"
-	"autovac/internal/core"
-	"autovac/internal/determinism"
 	"autovac/internal/emu"
 	"autovac/internal/exclusive"
 	"autovac/internal/experiment"
 	"autovac/internal/impact"
 	"autovac/internal/malware"
-	"autovac/internal/trace"
-	"autovac/internal/vaccine"
 	"autovac/internal/winenv"
 )
 
@@ -35,6 +34,61 @@ const benchSeed = 42
 // benchCorpusSize keeps per-iteration experiment runs tractable while
 // preserving the corpus mix.
 const benchCorpusSize = 60
+
+// --- experiment's bench table (one body per row, shared with benchreport) ---
+
+func BenchmarkEmulator(b *testing.B)                 { bench(b, "Emulator") }
+func BenchmarkEmulatorWithSteps(b *testing.B)        { bench(b, "EmulatorWithSteps") }
+func BenchmarkEmulatorPooled(b *testing.B)           { bench(b, "EmulatorPooled") }
+func BenchmarkEmulatorStalling(b *testing.B)         { bench(b, "EmulatorStalling") }
+func BenchmarkSliceReplay(b *testing.B)              { bench(b, "SliceReplay") }
+func BenchmarkPhase1CandidateSelection(b *testing.B) { bench(b, "Phase1CandidateSelection") }
+func BenchmarkClinicFalsePositiveTest(b *testing.B)  { bench(b, "ClinicFalsePositiveTest") }
+func BenchmarkVaccineGeneration(b *testing.B)        { bench(b, "VaccineGeneration") }
+func BenchmarkBackwardSlicing(b *testing.B)          { bench(b, "BackwardSlicing") }
+func BenchmarkImpactAnalysis(b *testing.B)           { bench(b, "ImpactAnalysis") }
+func BenchmarkDirectInjection(b *testing.B)          { bench(b, "DirectInjection") }
+func BenchmarkDaemonHookOverhead(b *testing.B)       { bench(b, "DaemonHookOverhead") }
+func BenchmarkDeltaCodec(b *testing.B)               { bench(b, "DeltaCodec") }
+
+// bench runs the bench-table row called name, or each row under name
+// as a sub-benchmark (DaemonHookOverhead/none, ...).
+func bench(b *testing.B, name string) {
+	found := false
+	for _, row := range experiment.BenchRows() {
+		if row.Name == name {
+			benchRow(b, row)
+			return
+		}
+		if sub, ok := strings.CutPrefix(row.Name, name+"/"); ok {
+			found = true
+			b.Run(sub, func(b *testing.B) { benchRow(b, row) })
+		}
+	}
+	if !found {
+		b.Fatalf("no bench row %q", name)
+	}
+}
+
+// benchRow sets row up outside the timer and times b.N operations.
+func benchRow(b *testing.B, row experiment.BenchRow) {
+	fx, err := row.Setup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	steps, err := fx.Run(b.N)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if steps > 0 {
+		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
+	}
+	if fx.BodyBytes > 0 {
+		b.ReportMetric(float64(fx.BodyBytes), "body-bytes")
+	}
+}
 
 // --- Table and figure regeneration benches ---
 
@@ -67,23 +121,6 @@ func phase12(b *testing.B) (*experiment.Setup, *experiment.Phase1Stats, *experim
 		b.Fatal(err)
 	}
 	return s, stats, gen
-}
-
-func BenchmarkPhase1CandidateSelection(b *testing.B) {
-	s, err := experiment.NewSetup(benchSeed, benchCorpusSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, _, err := s.RunPhase1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Occurrences == 0 {
-			b.Fatal("no occurrences")
-		}
-	}
 }
 
 func BenchmarkFigure3ResourceBehaviour(b *testing.B) {
@@ -180,109 +217,6 @@ func BenchmarkTable7VariantEffectiveness(b *testing.B) {
 	}
 }
 
-func BenchmarkClinicFalsePositiveTest(b *testing.B) {
-	s, _, gen := phase12(b)
-	vs := gen.Vaccines
-	if len(vs) > 5 {
-		vs = vs[:5]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := s.FalsePositiveTest(vs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.ProgramsTested == 0 {
-			b.Fatal("no programs tested")
-		}
-	}
-}
-
-// --- §VI-F.1: vaccine generation overhead ---
-
-// benchPipeline builds a pipeline with the exclusiveness index.
-func benchPipeline(b *testing.B) *core.Pipeline {
-	b.Helper()
-	benign, err := malware.BenignCorpus()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := exclusive.BuildIndex(benign, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return core.New(core.Config{Seed: benchSeed, Index: ix})
-}
-
-// BenchmarkVaccineGeneration measures end-to-end analysis of one sample
-// (the paper: 789 s per sample on 2013 hardware, against real binaries).
-func BenchmarkVaccineGeneration(b *testing.B) {
-	p := benchPipeline(b)
-	sample, err := malware.NewGenerator(benchSeed).FamilySample(malware.Zeus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := p.Analyze(sample)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Vaccines) == 0 {
-			b.Fatal("no vaccines")
-		}
-	}
-}
-
-// BenchmarkBackwardSlicing measures slice extraction for an
-// algorithm-deterministic identifier (the paper: 214 s average).
-func BenchmarkBackwardSlicing(b *testing.B) {
-	spec := &malware.Spec{Name: "bench-algo", Category: malware.Worm,
-		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-7`}}}
-	prog := malware.MustEmit(spec)
-	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()),
-		emu.Options{Seed: benchSeed, RecordSteps: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := tr.CallsTo("CreateMutexA")[0].Seq
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := determinism.Extract(prog, tr, seq); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkImpactAnalysis measures one mutation experiment: a mutated
-// re-execution plus trace differential classification (the paper: 2-3
-// minutes per case).
-func BenchmarkImpactAnalysis(b *testing.B) {
-	sample, err := malware.NewGenerator(benchSeed).FamilySample(malware.Zeus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	normal, err := emu.Run(sample.Program, winenv.New(winenv.DefaultIdentity()),
-		emu.Options{Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mutated, err := emu.Run(sample.Program, winenv.New(winenv.DefaultIdentity()),
-			emu.Options{Seed: benchSeed, Mutations: []emu.Mutation{{
-				API: "OpenMutexA", CallerPC: -1, Identifier: "_AVIRA_2109",
-				Mode: emu.ForceSuccess,
-			}}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r := impact.Classify(mutated, normal); !r.Immunizing() {
-			b.Fatal("not immunizing")
-		}
-	}
-}
-
 // BenchmarkTraceAlignment measures Algorithm 1 on realistic call traces.
 func BenchmarkTraceAlignment(b *testing.B) {
 	sample, err := malware.NewGenerator(benchSeed).FamilySample(malware.Conficker)
@@ -301,222 +235,6 @@ func BenchmarkTraceAlignment(b *testing.B) {
 			b.Fatal("not immunizing")
 		}
 	}
-}
-
-// --- §VI-F.2: deployment overhead ---
-
-// staticVaccines builds n distinct static mutex vaccines.
-func staticVaccines(n int) []vaccine.Vaccine {
-	out := make([]vaccine.Vaccine, n)
-	for i := range out {
-		out[i] = vaccine.Vaccine{
-			ID: fmt.Sprintf("bench/mutex/%d", i), Sample: "bench",
-			Resource: winenv.KindMutex, Identifier: fmt.Sprintf("BENCH-MUTEX-%04d", i),
-			Class: determinism.Static, Op: "open", API: "OpenMutexA",
-			Effect: impact.Full, Polarity: vaccine.SimulatePresence,
-			Delivery: vaccine.DirectInjection,
-		}
-	}
-	return out
-}
-
-// BenchmarkDirectInjection measures installing a batch of static
-// vaccines (the paper: 34 s for 373 static vaccines, i.e. ~91 ms each).
-func BenchmarkDirectInjection(b *testing.B) {
-	vs := staticVaccines(373)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env := winenv.New(winenv.DefaultIdentity())
-		d := core.New(core.Config{Seed: benchSeed}).NewDaemonFor(env)
-		for j := range vs {
-			if err := d.Install(vs[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSliceReplay measures regenerating one algorithm-deterministic
-// identifier on an end host (the paper: 25.7 s per vaccine).
-func BenchmarkSliceReplay(b *testing.B) {
-	spec := &malware.Spec{Name: "bench-replay", Category: malware.Worm,
-		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-7`}}}
-	prog := malware.MustEmit(spec)
-	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()),
-		emu.Options{Seed: benchSeed, RecordSteps: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sl, err := determinism.Extract(prog, tr, tr.CallsTo("CreateMutexA")[0].Seq)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := winenv.New(winenv.DefaultIdentity())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Replay rewinds the environment itself; no per-iteration clone.
-		if _, err := sl.Replay(env, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDaemonHookOverhead measures the per-operation cost of the
-// daemon's interception hook as the number of partial-static vaccines
-// grows — the paper's <4.5% hook overhead claim, and its extrapolation
-// that 10x more vaccines stay under 12%. The .../none case is the
-// baseline without a daemon.
-func BenchmarkDaemonHookOverhead(b *testing.B) {
-	patterns := func(n int) []vaccine.Vaccine {
-		out := make([]vaccine.Vaccine, n)
-		for i := range out {
-			out[i] = vaccine.Vaccine{
-				ID: fmt.Sprintf("bench/pat/%d", i), Sample: "bench",
-				Resource: winenv.KindMutex, Pattern: fmt.Sprintf("WORMFAM%04d-*", i),
-				Class: determinism.PartialStatic, Op: "create", API: "CreateMutexA",
-				Effect: impact.Full, Polarity: vaccine.SimulatePresence,
-				Delivery: vaccine.VaccineDaemon,
-			}
-		}
-		return out
-	}
-	run := func(b *testing.B, n int) {
-		env := winenv.New(winenv.DefaultIdentity())
-		if n > 0 {
-			d := core.New(core.Config{Seed: benchSeed}).NewDaemonFor(env)
-			for _, v := range patterns(n) {
-				if err := d.Install(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		req := winenv.Request{
-			Kind: winenv.KindMutex, Op: winenv.OpCreate,
-			Name: "benign-app-instance-mutex", Principal: "app",
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := env.Do(req)
-			if res.Intercepted {
-				b.Fatal("benign op intercepted")
-			}
-			env.Remove(winenv.KindMutex, req.Name)
-		}
-	}
-	b.Run("none", func(b *testing.B) { run(b, 0) })
-	b.Run("vaccines-1", func(b *testing.B) { run(b, 1) })
-	b.Run("vaccines-10", func(b *testing.B) { run(b, 10) })
-	b.Run("vaccines-119", func(b *testing.B) { run(b, 119) }) // the paper's count
-	b.Run("vaccines-1190", func(b *testing.B) { run(b, 1190) })
-}
-
-// --- substrate micro-benches ---
-
-// BenchmarkEmulator measures raw emulated instruction throughput.
-func BenchmarkEmulator(b *testing.B) {
-	sample, err := malware.NewGenerator(benchSeed).FamilySample(malware.Zeus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := winenv.New(winenv.DefaultIdentity())
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		tr, err := emu.Run(sample.Program, env.Clone(), emu.Options{Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tr.Exit == trace.ExitFault {
-			b.Fatal(tr.Fault)
-		}
-		steps += tr.StepCount
-	}
-	b.ReportMetric(float64(steps)/float64(b.N), "instrs/op")
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-// BenchmarkEmulatorWithSteps measures the instruction-level recording
-// overhead backward slicing pays.
-func BenchmarkEmulatorWithSteps(b *testing.B) {
-	sample, err := malware.NewGenerator(benchSeed).FamilySample(malware.Zeus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := winenv.New(winenv.DefaultIdentity())
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		tr, err := emu.Run(sample.Program, env.Clone(),
-			emu.Options{Seed: benchSeed, RecordSteps: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += tr.StepCount
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-// BenchmarkEmulatorStalling measures instruction dispatch on the
-// dynamic-analysis-evasion workload (stalling loop + timing check, see
-// PAPERS.md): API-free straight-line code, so it reads the step loop's
-// dispatch floor with API dispatch out of the picture.
-func BenchmarkEmulatorStalling(b *testing.B) {
-	spec := &malware.Spec{Name: "bench-stalling", Category: malware.Trojan,
-		Behaviors: []malware.Behavior{
-			{Kind: malware.BehStalling, Count: 20_000},
-			{Kind: malware.BehMarkerMutex, ID: "BENCH-STALL-MUTEX"},
-		}}
-	r, err := emu.NewRunner(malware.MustEmit(spec), winenv.New(winenv.DefaultIdentity()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		tr, err := r.Run(emu.Options{Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tr.Exit == trace.ExitFault {
-			b.Fatal(tr.Fault)
-		}
-		steps += tr.StepCount
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-// BenchmarkEmulatorPooled measures steady-state throughput through the
-// Runner arena — the shape Phase-II impact analysis actually runs
-// (environment snapshot/rewind instead of per-run construction).
-func BenchmarkEmulatorPooled(b *testing.B) {
-	sample, err := malware.NewGenerator(benchSeed).FamilySample(malware.Zeus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := emu.NewRunner(sample.Program, winenv.New(winenv.DefaultIdentity()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		tr, err := r.Run(emu.Options{Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tr.Exit == trace.ExitFault {
-			b.Fatal(tr.Fault)
-		}
-		steps += tr.StepCount
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/sec")
 }
 
 // BenchmarkCorpusGeneration measures synthesizing the full paper-scale

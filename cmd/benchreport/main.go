@@ -8,6 +8,8 @@
 //	benchreport -table 4 -n 400
 //	benchreport -figure 3 -n 400
 //	benchreport -phase1 -n 400
+//	benchreport -timing              # the §VI-F table
+//	benchreport -bench               # every bench row -> BENCH_emu.json
 //	benchreport -controlplane -hosts 100000            # direct fan-out study
 //	benchreport -controlplane -hosts 1000000 -relays 32 # two-tier relay study
 package main
@@ -51,20 +53,16 @@ func run(args []string) error {
 		fout   = fs.String("fleetout", "BENCH_fleet.json", "machine-readable -controlplane output path")
 		all    = fs.Bool("all", false, "regenerate everything")
 		bdrCap = fs.Int("bdrcap", 10, "max vaccines measured per effect class for Figure 4")
-		bench  = fs.Bool("bench", false, "run the emulator bench trajectory and write -benchout")
+		bench  = fs.Bool("bench", false, "measure every bench row (emulator, §VI-F, delta codec) and write -benchout")
 		bout   = fs.String("benchout", "BENCH_emu.json", "machine-readable bench output path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *bench {
-		// The bench trajectory builds its own fixtures; skip the corpus
-		// setup the report paths need. The fleet codec rows ride along,
-		// reported against the committed BENCH_fleet.json baselines.
-		if err := runBench(*bout); err != nil {
-			return err
-		}
-		return runFleetCodecBench(*fout)
+		// The bench rows build their own fixtures; skip the corpus
+		// setup the report paths need.
+		return runBench(*bout)
 	}
 	if *cplane {
 		// The control-plane study builds its own in-process fleet; skip
@@ -188,11 +186,11 @@ func run(args []string) error {
 	}
 
 	if *all || *timing {
-		tm, err := setup.MeasureTiming(30)
+		rs, err := experiment.MeasureTiming()
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiment.RenderTiming(tm))
+		fmt.Println(experiment.RenderTiming(rs))
 	}
 	if *all || *evade {
 		ren, err := setup.RenameEvasion(malware.PoisonIvy)

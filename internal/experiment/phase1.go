@@ -54,7 +54,7 @@ func (st *Phase1Stats) KindShare(kind winenv.ResourceKind) float64 {
 	return float64(n) / float64(st.Sensitive)
 }
 
-// parallelIndexes fans indexes out to a bounded worker pool and waits.
+// parallelIndexes fans indexes out to GOMAXPROCS workers and waits.
 // Workers claim indexes from a shared atomic counter — there is no
 // producer goroutine and no channel, so a panicking work item can
 // never leave the dispatcher blocked on a send nobody will receive.
@@ -62,13 +62,7 @@ func (st *Phase1Stats) KindShare(kind winenv.ResourceKind) float64 {
 // and re-raised on the calling goroutine after the pool drains, where
 // the experiment-level guard can contain it.
 func (s *Setup) parallelIndexes(n int, work func(i int)) {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			work(i)

@@ -46,9 +46,6 @@ type Setup struct {
 	Generator *malware.Generator
 	// Seed is the experiment seed.
 	Seed int64
-	// Workers bounds the analysis worker pool (0 = GOMAXPROCS). Results
-	// are deterministic regardless of worker count.
-	Workers int
 }
 
 // NewSetup builds an experiment setup with the given corpus size.

@@ -7,41 +7,89 @@ import (
 )
 
 func TestMeasureTiming(t *testing.T) {
-	s := smallSetup(t, 10)
-	tm, err := s.MeasureTiming(5)
+	rs, err := MeasureTiming()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.SamplesTimed != 5 {
-		t.Errorf("samples timed = %d", tm.SamplesTimed)
+	if len(rs) != len(timingRows) {
+		t.Fatalf("measured %d rows, want the %d of the §VI-F table", len(rs), len(timingRows))
 	}
-	for name, sp := range map[string]Spread{
-		"analysis":   tm.PerSampleAnalysis,
-		"slicing":    tm.BackwardSlicing,
-		"impact":     tm.ImpactAnalysis,
-		"injection":  tm.StaticBatchInjection,
-		"replay":     tm.SliceReplay,
-		"hook":       tm.HookBaseline,
-		"hook-119":   tm.HookWith119,
-		"throughput": tm.EmulatorStepsPerSec,
-	} {
-		if sp.Q1 <= 0 || sp.Q1 > sp.Median || sp.Median > sp.Q3 {
-			t.Errorf("%s: want 0 < Q1 <= median <= Q3, got %+v", name, sp)
+	median := make(map[string]float64, len(rs))
+	for _, r := range rs {
+		sp := r.NsPerOp
+		if r.Reps < 5 || sp.Q1 <= 0 || sp.Q1 > sp.Median || sp.Median > sp.Q3 {
+			t.Errorf("%s: want 0 < Q1 <= median <= Q3 over >= 5 runs, got %+v over %d", r.Name, sp, r.Reps)
 		}
+		median[r.Name] = sp.Median
 	}
-	// Structure claims: batch static injection is cheaper than analysing
-	// a sample end to end; the daemon adds measurable but bounded cost.
-	if tm.HookWith119.Median < tm.HookBaseline.Median {
-		t.Errorf("hook with patterns (%v) cheaper than baseline (%v)", tm.HookWith119, tm.HookBaseline)
+	if _, ok := median["DaemonHookOverhead/vaccines-1190"]; !ok {
+		t.Error("no 1,190-pattern row")
 	}
-	if tm.HookAddedCost() < 0 || tm.HookAddedCost() > time.Millisecond {
-		t.Errorf("added hook cost = %v", tm.HookAddedCost())
+	// Structure claims: the daemon adds measurable but bounded cost.
+	added := time.Duration(median["DaemonHookOverhead/vaccines-119"] - median["DaemonHookOverhead/none"])
+	if added < 0 || added > time.Millisecond {
+		t.Errorf("added hook cost = %v", added)
 	}
-	text := RenderTiming(tm)
-	for _, frag := range []string{"789 s", "214 s", "25.7 s", "373 static", "Minstr/s", "median [Q1–Q3] of 5"} {
+	text := RenderTiming(rs)
+	for _, frag := range []string{"789 s", "214 s", "25.7 s", "373 static", "1,190", "Minstr/s", "median [Q1–Q3] of 5"} {
 		if !strings.Contains(text, frag) {
 			t.Errorf("render missing %q", frag)
 		}
+	}
+}
+
+// benchSink keeps the fake row's allocations on the heap.
+var benchSink []byte
+
+func TestMeasureSizesThenRepeats(t *testing.T) {
+	// A fake clock that only the body advances: 1µs per op while the
+	// runner sizes and warms the row, then a scripted cost per op for
+	// each timed run.
+	var clock time.Time
+	repCost := []time.Duration{3 * time.Microsecond, time.Microsecond, 4 * time.Microsecond, time.Microsecond, 5 * time.Microsecond}
+	var calls []int
+	row := BenchRow{Name: "Fake", Setup: func() (Fixture, error) {
+		return Fixture{BodyBytes: 9, Run: func(n int) (int, error) {
+			cost := time.Microsecond
+			if k := len(calls) - 7; k >= 0 {
+				cost = repCost[k]
+			}
+			calls = append(calls, n)
+			clock = clock.Add(time.Duration(n) * cost)
+			for i := 0; i < n; i++ {
+				benchSink = make([]byte, 64)
+			}
+			return 7 * n, nil
+		}}, nil
+	}}
+	r, err := measure(row, func() time.Time { return clock })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sizing grows n 100x at a time until a run fills half of
+	// benchRunTime (10ms): 1, 100, then 10,000 ops, run until the row
+	// has run for benchWarmTime (50ms), then five timed runs.
+	want := []int{1, 100, 10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 10_000}
+	if len(calls) != len(want) {
+		t.Fatalf("runs of %v ops, want %v", calls, want)
+	}
+	for i := range want {
+		if calls[i] != want[i] {
+			t.Fatalf("runs of %v ops, want %v", calls, want)
+		}
+	}
+	if r.Name != "Fake" || r.Reps != benchReps || r.N != 10_000 || r.BodyBytes != 9 {
+		t.Errorf("result %+v", r)
+	}
+	// The five runs cost 3, 1, 4, 1 and 5 µs per op.
+	if want := (Spread{Median: 3000, Q1: 1000, Q3: 4000}); r.NsPerOp != want {
+		t.Errorf("ns/op %+v, want %+v", r.NsPerOp, want)
+	}
+	if want := 7 * 1e9 / 3000.0; r.StepsPerSec != want {
+		t.Errorf("steps/s %v, want %v", r.StepsPerSec, want)
+	}
+	if r.AllocsPerOp != 1 || r.BytesPerOp != 64 {
+		t.Errorf("%d allocs and %d bytes per op, want 1 and 64", r.AllocsPerOp, r.BytesPerOp)
 	}
 }
 

@@ -61,7 +61,6 @@ func (s *Setup) Triage(ctx context.Context, perBand int) (*TriageStudy, error) {
 	run := func(triage bool) (*vaccine.Pack, *core.RunStats, time.Duration, error) {
 		t0 := time.Now()
 		results, stats, err := s.Pipeline.AnalyzeCorpus(ctx, samples, core.CorpusOptions{
-			Workers:      s.Workers,
 			StaticTriage: triage,
 		})
 		wall := time.Since(t0)

@@ -205,76 +205,6 @@ func BenchmarkRegistryPublish(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaCodec measures the two delta encodings head to head on
-// a 64-vaccine pack: encode and decode ns/op plus the resulting body
-// size (the bytes-on-wire number the codec exists to shrink).
-func BenchmarkDeltaCodec(b *testing.B) {
-	reg := NewRegistry(0)
-	reg.SetGenerator("bench")
-	if _, _, err := reg.Publish(testVaccines("codec", 64)...); err != nil {
-		b.Fatal(err)
-	}
-	d := reg.Delta(0)
-
-	b.Run("encode/json", func(b *testing.B) {
-		b.ReportAllocs()
-		var n int
-		for i := 0; i < b.N; i++ {
-			body, _, err := encodeDelta(d, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n = len(body)
-		}
-		b.ReportMetric(float64(n), "body-bytes")
-	})
-	b.Run("encode/binary", func(b *testing.B) {
-		b.ReportAllocs()
-		var n int
-		for i := 0; i < b.N; i++ {
-			body, err := EncodeDeltaBinary(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n = len(body)
-		}
-		b.ReportMetric(float64(n), "body-bytes")
-	})
-
-	jsonBody, _, err := encodeDelta(d, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	binBody, err := EncodeDeltaBinary(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("decode/json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := DecodeDeltaJSON(jsonBody)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(out.Vaccines) != 64 {
-				b.Fatal("short decode")
-			}
-		}
-	})
-	b.Run("decode/binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := DecodeDeltaBinary(binBody)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(out.Vaccines) != 64 {
-				b.Fatal("short decode")
-			}
-		}
-	})
-}
-
 // BenchmarkRelayTreeConvergence pushes one wave through a small
 // two-tier relay tree (agents behind relays behind the origin) and
 // reports convergence wall-clock and origin request count. CI runs it

@@ -1,55 +1,76 @@
 package fleet
 
 import (
+	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
 	"autovac/internal/vaccine"
 )
 
-// latBuckets is the histogram resolution: bucket i counts handler
-// latencies in [2^i, 2^(i+1)) microseconds, so 32 buckets span sub-µs
-// to ~70 minutes with constant memory and lock-free updates.
-const latBuckets = 32
+// latSub is the number of linear sub-buckets per power of two, so a
+// bucket is never wider than 1/latSub of the values it holds.
+const latSub = 16
 
-// latencyHist is a fixed power-of-two histogram of handler latencies.
+// latBuckets covers every non-negative time.Duration in nanoseconds:
+// one bucket per value below 2*latSub, then latSub buckets for each
+// power of two from 2^5 to 2^62.
+const latBuckets = (62 - 3 + 1) * latSub
+
+// latencyHist is a fixed log-linear histogram of latencies: power-of-two
+// majors split into latSub linear sub-buckets. observe takes no lock
+// and allocates nothing.
 type latencyHist struct {
 	buckets [latBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sumUS   atomic.Uint64
+}
+
+// latBucket returns the bucket holding v nanoseconds: the values below
+// 2*latSub map to themselves, and a larger v in [2^e, 2^(e+1)) lands in
+// sub-bucket (v >> (e-4)) & 15 of major e.
+func latBucket(v uint64) int {
+	if v < 2*latSub {
+		return int(v)
+	}
+	e := bits.Len64(v) - 1
+	return (e-3)*latSub + int(v>>(e-4))&(latSub-1)
+}
+
+// latUpper returns the largest value bucket i holds.
+func latUpper(i int) uint64 {
+	if i < 2*latSub {
+		return uint64(i)
+	}
+	e, sub := i/latSub+3, uint64(i%latSub)
+	return 1<<e + (sub+1)<<(e-4) - 1
 }
 
 // observe records one latency sample.
 func (h *latencyHist) observe(d time.Duration) {
-	us := uint64(d.Microseconds())
-	h.count.Add(1)
-	h.sumUS.Add(us)
-	i := 0
-	for v := us; v > 1 && i < latBuckets-1; v >>= 1 {
-		i++
-	}
-	h.buckets[i].Add(1)
+	h.buckets[latBucket(uint64(max(d, 0)))].Add(1)
 }
 
-// quantile estimates the q-quantile (0..1) as the upper edge of the
-// bucket where the cumulative count crosses q*total.
+// quantile returns the q-quantile (0 < q <= 1) by nearest rank: the
+// largest value of the bucket holding the ceil(q*n)-th smallest sample.
+// It never under-reports, and over-reports by less than 1/latSub.
 func (h *latencyHist) quantile(q float64) time.Duration {
-	total := h.count.Load()
+	var total uint64
+	for i := range h.buckets {
+		total += h.buckets[i].Load()
+	}
 	if total == 0 {
 		return 0
 	}
-	target := uint64(q * float64(total))
-	if target == 0 {
-		target = 1
-	}
+	rank := min(max(uint64(math.Ceil(q*float64(total))), 1), total)
 	var cum uint64
-	for i := 0; i < latBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return time.Duration(uint64(1)<<uint(i+1)) * time.Microsecond
+	for i := range h.buckets {
+		// Buckets only grow, so a sample observed after the total was
+		// taken can only make cum reach rank sooner.
+		if cum += h.buckets[i].Load(); cum >= rank {
+			return time.Duration(latUpper(i))
 		}
 	}
-	return time.Duration(uint64(1)<<latBuckets) * time.Microsecond
+	return time.Duration(latUpper(latBuckets - 1))
 }
 
 // Metrics is the server's lock-free counter set. All fields are

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -313,5 +316,43 @@ func TestLatencyHistogramQuantiles(t *testing.T) {
 	}
 	if h.quantile(1.0) < 100*time.Millisecond {
 		t.Fatalf("max quantile %v misses the outlier", h.quantile(1.0))
+	}
+}
+
+// TestLatencyHistogramMatchesExactQuantiles holds the histogram to the
+// exact nearest-rank quantiles of seeded samples: every estimate is at
+// or above the true value and less than 1/16 over it.
+func TestLatencyHistogramMatchesExactQuantiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	between := func(lo, hi time.Duration) time.Duration { return lo + time.Duration(rng.Int63n(int64(hi-lo))) }
+	sets := map[string][]time.Duration{"single": make([]time.Duration, 1000)}
+	for i := range sets["single"] {
+		sets["single"][i] = 37123 * time.Nanosecond
+	}
+	for i := 0; i < 10000; i++ {
+		sets["uniform"] = append(sets["uniform"], between(time.Microsecond, 10*time.Millisecond))
+		if i%2 == 0 {
+			sets["bimodal"] = append(sets["bimodal"], between(45*time.Microsecond, 55*time.Microsecond))
+		} else {
+			sets["bimodal"] = append(sets["bimodal"], between(18*time.Millisecond, 22*time.Millisecond))
+		}
+	}
+	for name, xs := range sets {
+		var h latencyHist
+		for _, x := range xs {
+			h.observe(x)
+		}
+		sorted := append([]time.Duration(nil), xs...)
+		slices.Sort(sorted)
+		for _, q := range []float64{0.001, 0.25, 0.5, 0.51, 0.9, 0.99, 0.999, 1} {
+			exact := sorted[int(math.Ceil(q*float64(len(sorted))))-1]
+			if got := h.quantile(q); got < exact || got-exact >= exact/16 {
+				t.Errorf("%s: q%v = %v, exact %v", name, q, got, exact)
+			}
+		}
+	}
+	var h latencyHist
+	if allocs := testing.AllocsPerRun(100, func() { h.observe(time.Millisecond) }); allocs != 0 {
+		t.Errorf("observe allocates %v times", allocs)
 	}
 }
