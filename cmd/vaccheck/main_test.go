@@ -27,7 +27,7 @@ func realSliceVaccine(t *testing.T) vaccine.Vaccine {
 		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-9`}}}
 	prog := malware.MustEmit(spec)
 	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()),
-		emu.Options{Seed: 7, RecordSteps: true, Registry: winapi.Standard()})
+		emu.Options{Seed: 7, Profile: true, Registry: winapi.Standard()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func sliceVaccine(t *testing.T) vaccine.Vaccine {
 	t.Helper()
 	prog := malware.MustEmit(&malware.Spec{Name: "clinic-algo", Category: malware.Worm,
 		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-7`}}})
-	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()), emu.Options{Seed: 3, RecordSteps: true})
+	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()), emu.Options{Seed: 3, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

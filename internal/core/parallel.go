@@ -172,13 +172,13 @@ func (p *Pipeline) analyzeIsolated(s *malware.Sample, index int) (res *Result, e
 // AnalyzeCorpus is the corpus entry point: bounded workers,
 // cancellation, an optional error budget, per-sample fault isolation,
 // and run statistics. See the contract at the top of this file. The
-// pipeline is immutable and every execution builds its own
-// environment, so samples are embarrassingly parallel: results come
-// back indexed by sample, identical to a serial run (workers only
-// change wall-clock time, never output — the determinism tests pin
-// this). The results slice is always len(samples) with nil slots for
-// failed or skipped samples; an empty corpus returns an empty non-nil
-// slice and no error.
+// pipeline's configuration is immutable and each analysis takes its
+// own hosts from the pipeline's pool, so samples are embarrassingly
+// parallel: results come back indexed by sample, identical to a
+// serial run (workers only change wall-clock time, never output — the
+// determinism tests pin this). The results slice is always
+// len(samples) with nil slots for failed or skipped samples; an empty
+// corpus returns an empty non-nil slice and no error.
 func (p *Pipeline) AnalyzeCorpus(ctx context.Context, samples []*malware.Sample, opts CorpusOptions) ([]*Result, *RunStats, error) {
 	start := time.Now()
 	stats := &RunStats{SampleTimes: make([]time.Duration, len(samples))}

@@ -68,13 +68,18 @@ type Config struct {
 
 // Pipeline runs AUTOVAC end to end. Its configuration is immutable
 // after New; the only state it builds later is the clinic suite, once
-// and under a sync.Once. One Pipeline may analyse many samples
-// concurrently (see AnalyzeCorpus).
+// and under a sync.Once, and a pool of prepared analysis hosts that
+// Phase-I, Phase-II's mutated re-executions and its slice-sanity
+// replays rewind instead of rebuilding. One Pipeline may analyse many
+// samples concurrently (see AnalyzeCorpus).
 type Pipeline struct {
 	cfg Config
 	// registry is the shared labelled API set; it is read-only after
 	// construction and reused across every emulated execution.
 	registry *winapi.Registry
+
+	// hosts pools prepared analysis hosts (see host).
+	hosts sync.Pool
 
 	// clinic is the benign suite with its baselines, built by the first
 	// Phase2 with vaccines to test. Baselines depend only on the suite,
@@ -100,7 +105,12 @@ func New(cfg Config) *Pipeline {
 	if cfg.C2 != nil {
 		reg = winapi.StandardC2()
 	}
-	return &Pipeline{cfg: cfg, registry: reg}
+	p := &Pipeline{cfg: cfg, registry: reg}
+	p.hosts.New = func() any {
+		env := p.newEnv()
+		return &host{env: env, base: env.Snapshot()}
+	}
+	return p
 }
 
 // newEnv builds one analysis environment, attaching a fresh responder
@@ -111,6 +121,26 @@ func (p *Pipeline) newEnv() *winenv.Env {
 		env.Net().SetResponder(p.cfg.C2.NewResponder())
 	}
 	return env
+}
+
+// host is one prepared analysis machine: a newEnv environment and a
+// base snapshot of that state held open for its whole life, so a use
+// ends by rewinding it rather than building a new one. It belongs to
+// one goroutine at a time.
+type host struct {
+	env  *winenv.Env
+	base *winenv.Snapshot
+}
+
+// getHost takes a prepared host from the pool.
+func (p *Pipeline) getHost() *host { return p.hosts.Get().(*host) }
+
+// putHost rewinds h to its base and returns it to the pool. It is
+// called on normal returns only, never deferred: a panicking analysis
+// drops its host, whose state may be half-rewound.
+func (p *Pipeline) putHost(h *host) {
+	h.env.Reset(h.base)
+	p.hosts.Put(h)
 }
 
 // Candidate is one resource-API occurrence that can affect the
@@ -143,15 +173,17 @@ type Profile struct {
 func (p *Profile) HasVaccineCandidates() bool { return len(p.Candidates) > 0 }
 
 // Phase1 profiles a sample: one natural execution under taint analysis,
-// with instruction steps recorded for the later backward slicing.
+// with instruction steps recorded for the later backward slicing. It is
+// the pipeline's only profiling run.
 func (p *Pipeline) Phase1(s *malware.Sample) (*Profile, error) {
-	env := p.newEnv()
-	tr, err := emu.Run(s.Program, env, emu.Options{
-		Seed:        p.cfg.Seed,
-		MaxSteps:    p.cfg.Phase1Steps,
-		RecordSteps: true,
-		Registry:    p.registry,
+	h := p.getHost()
+	tr, err := emu.Run(s.Program, h.env, emu.Options{
+		Seed:     p.cfg.Seed,
+		MaxSteps: p.cfg.Phase1Steps,
+		Profile:  true,
+		Registry: p.registry,
 	})
+	p.putHost(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase1 %s: %w", s.Name(), err)
 	}
@@ -231,16 +263,28 @@ type Result struct {
 }
 
 // phase2Arena holds the pooled execution state shared by every
-// candidate of one Phase-II pass: a Runner that rewinds the sample's
-// mutated re-executions instead of rebuilding CPU and environment per
-// candidate, the natural trace's alignment keys that every mutated run
-// is classified against, and one environment reused across slice
-// sanity replays (Replay rewinds it itself), built by the first
-// algorithm-deterministic candidate.
+// candidate of one Phase-II pass: a Runner on a pooled host that
+// rewinds the sample's mutated re-executions instead of rebuilding CPU
+// and environment per candidate, the natural trace's alignment keys
+// that every mutated run is classified against, and a second pooled
+// host for the slice sanity replays (Replay rewinds it itself), taken
+// by the first algorithm-deterministic candidate.
 type phase2Arena struct {
-	runner    *emu.Runner
-	keysN     []alignment.Key
-	replayEnv *winenv.Env
+	runHost *host
+	runner  *emu.Runner
+	keysN   []alignment.Key
+	replay  *host
+}
+
+// release closes the runner and returns the arena's hosts to the pool.
+func (a *phase2Arena) release(p *Pipeline) {
+	if a.runner != nil {
+		a.runner.Close()
+		p.putHost(a.runHost)
+	}
+	if a.replay != nil {
+		p.putHost(a.replay)
+	}
 }
 
 // Phase2 generates vaccines from a profile: exclusiveness → impact →
@@ -252,12 +296,13 @@ func (p *Pipeline) Phase2(prof *Profile) (*Result, error) {
 
 	arena := &phase2Arena{}
 	if len(prof.Candidates) > 0 {
-		runner, err := emu.NewRunner(prof.Sample.Program, p.newEnv())
+		h := p.getHost()
+		runner, err := emu.NewRunner(prof.Sample.Program, h.env)
 		if err != nil {
+			p.putHost(h)
 			return nil, fmt.Errorf("core: phase2 %s: %w", prof.Sample.Name(), err)
 		}
-		defer runner.Close()
-		arena.runner = runner
+		arena.runHost, arena.runner = h, runner
 		arena.keysN = alignment.KeysOf(prof.Normal.Calls)
 	}
 
@@ -278,6 +323,7 @@ func (p *Pipeline) Phase2(prof *Profile) (*Result, error) {
 		merged[key] = v
 		order = append(order, key)
 	}
+	arena.release(p)
 
 	for i, key := range order {
 		v := merged[key]
@@ -409,6 +455,9 @@ func (p *Pipeline) generateOne(prof *Profile, cand Candidate, arena *phase2Arena
 			return nil, &Rejection{Candidate: cand, Stage: "impact", Reason: err.Error()}
 		}
 		r := impact.ClassifyKeyed(mutated, prof.Normal, arena.keysN)
+		// The diff holds copies of the calls, so the next run may
+		// reuse the mutated trace's call log.
+		arena.runner.Recycle(mutated)
 		if r.Immunizing() {
 			best = &r
 			bestMode = mode
@@ -464,10 +513,10 @@ func (p *Pipeline) generateOne(prof *Profile, cand Candidate, arena *phase2Arena
 		}
 		// Sanity: the slice replays to the observed identifier on the
 		// analysis machine.
-		if arena.replayEnv == nil {
-			arena.replayEnv = p.newEnv()
+		if arena.replay == nil {
+			arena.replay = p.getHost()
 		}
-		got, err := sl.Replay(arena.replayEnv, p.cfg.Seed)
+		got, err := sl.Replay(arena.replay.env, p.cfg.Seed)
 		if err != nil || !strings.EqualFold(got, call.Identifier) {
 			return nil, &Rejection{
 				Candidate: cand, Stage: "determinism",

@@ -89,7 +89,7 @@ func TestAlgorithmDeterministicInjection(t *testing.T) {
 		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-9`}}}
 	prog := malware.MustEmit(spec)
 	srcEnv := winenv.New(winenv.DefaultIdentity())
-	tr, err := emu.Run(prog, srcEnv, emu.Options{Seed: 3, RecordSteps: true})
+	tr, err := emu.Run(prog, srcEnv, emu.Options{Seed: 3, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestDaemonRefreshOnIdentityChange(t *testing.T) {
 		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-3`}}}
 	prog := malware.MustEmit(spec)
 	srcEnv := winenv.New(winenv.DefaultIdentity())
-	tr, _ := emu.Run(prog, srcEnv, emu.Options{Seed: 3, RecordSteps: true})
+	tr, _ := emu.Run(prog, srcEnv, emu.Options{Seed: 3, Profile: true})
 	call := tr.CallsTo("CreateMutexA")[0]
 	sl, err := determinism.Extract(prog, tr, call.Seq)
 	if err != nil {

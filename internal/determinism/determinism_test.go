@@ -29,7 +29,7 @@ func TestClassStrings(t *testing.T) {
 // trace.
 func runSample(t *testing.T, prog *isa.Program, env *winenv.Env) *trace.Trace {
 	t.Helper()
-	tr, err := emu.Run(prog, env, emu.Options{Seed: 77, RecordSteps: true})
+	tr, err := emu.Run(prog, env, emu.Options{Seed: 77, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

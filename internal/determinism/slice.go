@@ -47,7 +47,7 @@ type Slice struct {
 // argument pushes and, transitively, GetComputerNameA.
 func Extract(prog *isa.Program, tr *trace.Trace, seq int) (*Slice, error) {
 	if len(tr.Steps) == 0 {
-		return nil, fmt.Errorf("determinism: trace of %s has no instruction steps (RecordSteps off?)", tr.Program)
+		return nil, fmt.Errorf("determinism: trace of %s has no instruction steps (Profile off?)", tr.Program)
 	}
 	// Locate the candidate call's step and record.
 	callIdx := -1

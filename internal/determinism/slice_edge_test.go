@@ -82,7 +82,7 @@ func TestSliceThroughLoopBuiltIdentifier(t *testing.T) {
 	prog := b.MustBuild()
 
 	env := winenv.New(winenv.DefaultIdentity())
-	tr, err := emu.Run(prog, env, emu.Options{Seed: 3, RecordSteps: true})
+	tr, err := emu.Run(prog, env, emu.Options{Seed: 3, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPartialPatternStableAcrossRuns(t *testing.T) {
 	patterns := make(map[string]bool)
 	for seed := uint64(1); seed <= 5; seed++ {
 		tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()),
-			emu.Options{Seed: seed, RecordSteps: true})
+			emu.Options{Seed: seed, Profile: true})
 		if err != nil {
 			t.Fatal(err)
 		}

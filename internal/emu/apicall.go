@@ -79,15 +79,24 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		}
 	}
 
-	// The call log and the source table start sized for one call per
-	// call site; a run that makes no call keeps a nil log.
+	// The call log (and, when profiling, the source table) starts sized
+	// for one call per call site, or takes a recycled log's storage; a
+	// run that makes no call keeps a nil log.
 	if c.tr.Calls == nil {
-		c.tr.Calls = make([]trace.APICall, 0, c.apiSites)
-		c.table.Grow(c.apiSites)
+		if cap(c.spareCalls) > 0 {
+			c.tr.Calls, c.spareCalls = c.spareCalls[:0], nil
+		} else {
+			c.tr.Calls = make([]trace.APICall, 0, c.apiSites)
+		}
+		if c.opts.Profile {
+			c.table.Grow(c.apiSites)
+		}
 	}
 
-	// Allocate the taint label for source APIs.
-	hasSource := label.Resource.Valid() || label.Class != winapi.ClassNone
+	// Allocate the taint label for source APIs. Only a profiling run
+	// labels anything: without a label no taint ever exists, so the run
+	// has nothing to record in the source table.
+	hasSource := c.opts.Profile && (label.Resource.Valid() || label.Class != winapi.ClassNone)
 	var src taint.Set
 	var srcID taint.Source
 	if hasSource {
@@ -174,7 +183,7 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		call.TaintSources = []taint.Source{srcID}
 	}
 	call.Args = c.logArgs(label, args)
-	if identInMemory && !mutated {
+	if identInMemory && !mutated && c.opts.Profile {
 		call.IdentifierTaint = c.mem.byteSources(identAddr, uint32(len(identifier)))
 	}
 	c.tr.Calls = append(c.tr.Calls, call)

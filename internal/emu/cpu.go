@@ -94,9 +94,14 @@ type Options struct {
 	// It is the analogue of the paper's per-sample execution budget
 	// (1 minute in Phase-I, 5 minutes in the BDR evaluation).
 	MaxSteps int
-	// RecordSteps enables the instruction-level log backward analysis
-	// needs. It is off for bulk corpus profiling.
-	RecordSteps bool
+	// Profile records what Phase-I reads from its one profiling run:
+	// taint labels with their provenance (Trace.Sources,
+	// APICall.TaintSources and IdentifierTaint, ArgValue.Tainted,
+	// Trace.Predicates) and the instruction-level log backward slicing
+	// walks (Trace.Steps). Off, a run reserves no taint label, so every
+	// taint operation takes its empty-set fast path; control flow, the
+	// call log's other fields and the exit are the same either way.
+	Profile bool
 	// Seed drives the deterministic PRNG behind "random" APIs.
 	Seed uint64
 	// Registry is the API set; nil selects the shared winapi.Standard().
@@ -154,8 +159,11 @@ type CPU struct {
 	apiSites int
 	// argBuf holds the current API call's arguments.
 	argBuf []winapi.Arg
+	// spareCalls is a recycled call log (Runner.Recycle): the run's
+	// first call appends into it instead of allocating a new log.
+	spareCalls []trace.APICall
 
-	// Per-step access collection (active when RecordSteps);
+	// Per-step access collection (active when profiling);
 	// accessArena is the chunked backing store the per-step records
 	// are carved from.
 	curReads    []trace.Access
@@ -234,6 +242,7 @@ func (c *CPU) resetFor(opts Options) {
 // must not execute or access memory afterwards; traces already returned
 // remain valid (they never alias emulator memory).
 func (c *CPU) Release() {
+	c.spareCalls = nil
 	if c.mem != nil {
 		c.mem.release()
 		c.mem = nil
@@ -300,7 +309,7 @@ func (c *CPU) ReadCString(addr uint32) (string, taint.Set, error) {
 	if err != nil {
 		return "", taint.Set{}, err
 	}
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.noteRead(trace.MemLoc(addr, uint32(len(s))+1), 0, []byte(s))
 	}
 	return s, t, nil
@@ -311,7 +320,7 @@ func (c *CPU) WriteCString(addr uint32, s string, t taint.Set) error {
 	if err := c.mem.writeBytes(addr, append([]byte(s), 0), t); err != nil {
 		return err
 	}
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.noteWrite(trace.MemLoc(addr, uint32(len(s))+1), 0, []byte(s))
 	}
 	return nil
@@ -351,7 +360,7 @@ func (c *CPU) WriteBytes(addr uint32, b []byte, t taint.Set) error {
 	if err := c.mem.writeBytes(addr, b, t); err != nil {
 		return err
 	}
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.noteWrite(trace.MemLoc(addr, uint32(len(b))), 0, append([]byte(nil), b...))
 	}
 	return nil
@@ -359,14 +368,14 @@ func (c *CPU) WriteBytes(addr uint32, b []byte, t taint.Set) error {
 
 // noteRead appends to the current step's read set when recording.
 func (c *CPU) noteRead(loc trace.Loc, v uint32, bytes []byte) {
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.curReads = append(c.curReads, trace.Access{Loc: loc, Value: v, Bytes: bytes})
 	}
 }
 
 // noteWrite appends to the current step's write set when recording.
 func (c *CPU) noteWrite(loc trace.Loc, v uint32, bytes []byte) {
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.curWrites = append(c.curWrites, trace.Access{Loc: loc, Value: v, Bytes: bytes})
 	}
 }

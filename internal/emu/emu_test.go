@@ -27,7 +27,7 @@ func mutexChecker(name string) *isa.Program {
 
 func TestMutexCheckerCleanHost(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
-	tr, err := Run(mutexChecker("!VoqA.I4"), env, Options{Seed: 1})
+	tr, err := Run(mutexChecker("!VoqA.I4"), env, Options{Seed: 1, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func algoMutex() *isa.Program {
 
 func TestAlgorithmDeterministicIdentifier(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
-	tr, err := Run(algoMutex(), env, Options{Seed: 3, RecordSteps: true})
+	tr, err := Run(algoMutex(), env, Options{Seed: 3, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestTaintThroughStringOps(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
 	env.Inject(winenv.Resource{Kind: winenv.KindRegistry, Name: `HKLM\Software\Mark`, Owner: "system"})
 	env.Inject(winenv.Resource{Kind: winenv.KindRegistry, Name: `HKLM\Software\Mark\installed`, Owner: "system", Data: []byte("1")})
-	tr, err := Run(prog, env, Options{})
+	tr, err := Run(prog, env, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

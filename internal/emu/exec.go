@@ -52,7 +52,7 @@ func (c *CPU) step() error {
 	pc := c.pc
 	c.tr.StepCount++
 
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.curReads = c.curReads[:0]
 		c.curWrites = c.curWrites[:0]
 	}
@@ -260,7 +260,7 @@ func (c *CPU) step() error {
 		return fmt.Errorf("emu: unknown opcode %v at pc %d", in.op, pc)
 	}
 
-	if c.opts.RecordSteps {
+	if c.opts.Profile {
 		c.tr.Steps = append(c.tr.Steps, trace.Step{
 			Index:  len(c.tr.Steps),
 			PC:     pc,

@@ -518,7 +518,7 @@ func checkClean(t *testing.T, m *memory, when string) {
 // clean.
 func TestDirtyRangeResets(t *testing.T) {
 	prog := dirtyProbe()
-	opts := Options{Seed: 3}
+	opts := Options{Seed: 3, Profile: true}
 	r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
 	if err != nil {
 		t.Fatal(err)

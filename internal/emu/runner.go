@@ -35,7 +35,8 @@ func NewRunner(prog *isa.Program, env *winenv.Env) (*Runner, error) {
 func (r *Runner) Env() *winenv.Env { return r.env }
 
 // Run executes the program under opts and returns the trace. The
-// returned trace remains valid after later Runs and after Close.
+// returned trace remains valid after later Runs and after Close, unless
+// it is handed back with Recycle.
 func (r *Runner) Run(opts Options) (*trace.Trace, error) {
 	if r.cpu == nil {
 		c, err := New(r.prog, r.env, opts)
@@ -48,6 +49,22 @@ func (r *Runner) Run(opts Options) (*trace.Trace, error) {
 		r.cpu.resetFor(opts)
 	}
 	return r.cpu.Execute(), nil
+}
+
+// Recycle hands the call log of tr, a trace this runner returned, back
+// to the runner: the next Run that makes a call appends its calls into
+// that storage instead of allocating a new log. tr.Calls is set to nil;
+// the caller must hold no other reference into it, though copies of
+// its elements stay valid (a call's fields are never written after the
+// run that logged it, and recycling reuses only the array).
+func (r *Runner) Recycle(tr *trace.Trace) {
+	if r.cpu != nil && cap(tr.Calls) > 0 {
+		// Clear the old records so the array does not keep their
+		// arguments and strings alive.
+		clear(tr.Calls)
+		r.cpu.spareCalls = tr.Calls[:0]
+	}
+	tr.Calls = nil
 }
 
 // Close releases the environment snapshot (leaving the environment in

@@ -41,7 +41,7 @@ func TestRunnerByteIdentity(t *testing.T) {
 		opts Options
 	}{
 		{"plain", Options{Seed: 7}},
-		{"record-steps", Options{Seed: 7, RecordSteps: true}},
+		{"record-steps", Options{Seed: 7, Profile: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := mutexChecker("!RunnerId")
@@ -187,7 +187,7 @@ func TestOneShotRunSteadyStateBudget(t *testing.T) {
 // run still serialises like a one-shot run.
 func TestStepAccessArenaGrowth(t *testing.T) {
 	prog := hotLoop(4000)
-	opts := Options{Seed: 3, RecordSteps: true}
+	opts := Options{Seed: 3, Profile: true}
 	c, err := New(prog, winenv.New(winenv.DefaultIdentity()), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -232,5 +232,79 @@ func TestStepAccessArenaGrowth(t *testing.T) {
 		if traceJSON(t, pooled) != before {
 			t.Fatalf("pooled run %d diverged from the one-shot run", run)
 		}
+	}
+}
+
+// TestRunnerRecycle checks the recycle contract: a run that appends into
+// a recycled call log serializes like a one-shot run and reuses the
+// log's storage, the recycled trace gives its log up, and a run that
+// makes no call still returns a nil log while the spare waits for the
+// next run that does.
+func TestRunnerRecycle(t *testing.T) {
+	// The calls are behind a branch that is taken unless inverted, so
+	// one program runs with calls or without.
+	b := isa.NewBuilder("recycle-probe")
+	b.RData("marker", "!Recycle")
+	b.Mov(isa.R(isa.EAX), isa.Imm(0))
+	b.Test(isa.R(isa.EAX), isa.R(isa.EAX))
+	b.Jz("done")
+	b.CallAPI("OpenMutexA", isa.Sym("marker"))
+	b.CallAPI("CreateMutexA", isa.Sym("marker"))
+	b.CallAPI("Sleep", isa.Imm(10))
+	b.Label("done")
+	b.Halt()
+	prog := b.MustBuild()
+	calls := Options{Seed: 5, InvertBranches: []int{2}}
+	mutated := Options{Seed: 5, InvertBranches: []int{2}, Mutations: []Mutation{{
+		API: "OpenMutexA", CallerPC: -1, Mode: ForceSuccess,
+	}}}
+	noCalls := Options{Seed: 5}
+
+	r, err := NewRunner(prog, winenv.New(winenv.DefaultIdentity()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	run := func(opts Options) *trace.Trace {
+		t.Helper()
+		tr, err := r.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	oneShot := func(opts Options) string {
+		t.Helper()
+		tr, err := Run(prog, winenv.New(winenv.DefaultIdentity()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traceJSON(t, tr)
+	}
+
+	prev := run(calls)
+	if len(prev.Calls) != 3 {
+		t.Fatalf("inverted run made %d calls, want 3", len(prev.Calls))
+	}
+	// Three calls fit the log's first allocation, so every run that
+	// makes calls appends into this storage.
+	storage := &prev.Calls[0]
+	for i, opts := range []Options{mutated, calls, noCalls, mutated, calls} {
+		r.Recycle(prev)
+		if prev.Calls != nil {
+			t.Fatalf("run %d: the recycled trace kept its call log", i)
+		}
+		tr := run(opts)
+		if got, want := traceJSON(t, tr), oneShot(opts); got != want {
+			t.Fatalf("run %d: recycled run diverged from one-shot:\n got %s\nwant %s", i, got, want)
+		}
+		if len(opts.InvertBranches) == 0 {
+			if tr.Calls != nil {
+				t.Fatalf("run %d made no call but returned a non-nil log", i)
+			}
+		} else if &tr.Calls[0] != storage {
+			t.Fatalf("run %d did not append into the recycled log", i)
+		}
+		prev = tr
 	}
 }

@@ -63,7 +63,7 @@ func TestTaintSoundnessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := Run(prog, winenv.New(winenv.DefaultIdentity()), Options{Seed: 5})
+		tr, err := Run(prog, winenv.New(winenv.DefaultIdentity()), Options{Seed: 5, Profile: true})
 		if err != nil || tr.Exit != trace.ExitHalt {
 			return false
 		}
@@ -137,7 +137,7 @@ func TestTaintThroughByteMoves(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
 	env.Inject(winenv.Resource{Kind: winenv.KindRegistry, Name: `HKLM\Software\Mk`, Owner: "system"})
 	env.Inject(winenv.Resource{Kind: winenv.KindRegistry, Name: `HKLM\Software\Mk\HKLM\Software\Mk`, Owner: "system", Data: []byte("yes")})
-	tr, err := Run(b.MustBuild(), env, Options{})
+	tr, err := Run(b.MustBuild(), env, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestLeaTaintFromBaseRegister(t *testing.T) {
 	b.Add(isa.R(isa.EBX), isa.R(isa.EAX)).Comment("tainted address")
 	b.Cmp(isa.R(isa.EBX), isa.Imm(0))
 	b.Halt()
-	tr, err := Run(b.MustBuild(), winenv.New(winenv.DefaultIdentity()), Options{})
+	tr, err := Run(b.MustBuild(), winenv.New(winenv.DefaultIdentity()), Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestTaintedArgFlagInLog(t *testing.T) {
 	b.CallAPI("CreateMutexA", isa.Sym("m"))
 	b.CallAPI("CloseHandle", isa.R(isa.EAX))
 	b.Halt()
-	tr, err := Run(b.MustBuild(), winenv.New(winenv.DefaultIdentity()), Options{})
+	tr, err := Run(b.MustBuild(), winenv.New(winenv.DefaultIdentity()), Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,11 @@ type Fixture struct {
 // size.
 func BenchRows() []BenchRow {
 	rows := []BenchRow{
+		// A run without profiling: no taint labels, no step log.
 		{"Emulator", oneShot(emu.Options{Seed: BenchSeed})},
-		// Instruction-level recording, the cost backward slicing pays.
-		{"EmulatorWithSteps", oneShot(emu.Options{Seed: BenchSeed, RecordSteps: true})},
+		// The profiling run Phase-I makes: taint labels and the
+		// instruction-level log backward slicing walks.
+		{"EmulatorWithSteps", oneShot(emu.Options{Seed: BenchSeed, Profile: true})},
 		// Re-execution through the Runner arena: Phase-II's steady state.
 		{"EmulatorPooled", func() (Fixture, error) {
 			zeus, err := zeusSample()
@@ -225,7 +227,7 @@ func algoSlice() (*isa.Program, *trace.Trace, *determinism.Slice, error) {
 	prog := malware.MustEmit(&malware.Spec{Name: "bench-algo", Category: malware.Worm,
 		Behaviors: []malware.Behavior{{Kind: malware.BehAlgoMutex, ID: `Global\%s-7`}}})
 	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()),
-		emu.Options{Seed: BenchSeed, RecordSteps: true})
+		emu.Options{Seed: BenchSeed, Profile: true})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -174,9 +174,7 @@ func RenderControlPlane(rep *ControlPlaneReport) string {
 		r := row.Result
 		fmt.Fprintf(&b, "%-16s %10v %10v %10v %10d %11d %14d %10d\n",
 			row.Mode,
-			r.ConvergeTime.Round(time.Millisecond),
-			r.SyncP50.Round(time.Millisecond),
-			r.SyncP99.Round(time.Millisecond),
+			round3(r.ConvergeTime), round3(r.SyncP50), round3(r.SyncP99),
 			r.Requests, r.OriginRequests, r.BytesOnWire, r.Deltas)
 	}
 

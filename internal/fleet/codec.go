@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"autovac/internal/vaccine"
 )
@@ -79,6 +80,40 @@ const maxDeltaPayload = 1 << 28
 // ErrDeltaMalformed is wrapped by every binary delta decoding failure.
 var ErrDeltaMalformed = errors.New("fleet: malformed binary delta")
 
+// DEFLATE state is pooled across frames: a new BestSpeed writer
+// allocates about 1.2 MB of tables and a new reader about 40 KB. A
+// Reset writer emits the same bytes a new one would.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		zw, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level never fails
+		return zw
+	}}
+	flateReaders sync.Pool // of *inflater
+)
+
+// inflater is a pooled DEFLATE reader with the byte reader it reads
+// from.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+}
+
+// inflate returns the decompressed payload, reading at most limit+1
+// bytes of it.
+func inflate(payload []byte, limit int64) ([]byte, error) {
+	in, ok := flateReaders.Get().(*inflater)
+	if !ok {
+		in = &inflater{}
+		in.zr = flate.NewReader(&in.src)
+	}
+	in.src.Reset(payload)
+	in.zr.(flate.Resetter).Reset(&in.src, nil)
+	raw, err := io.ReadAll(io.LimitReader(in.zr, limit+1))
+	in.src.Reset(nil)
+	flateReaders.Put(in)
+	return raw, err
+}
+
 // EncodeDeltaBinary encodes one DeltaResponse as a binary frame,
 // compressing the payload when it is DeltaCompressMin bytes or more.
 func EncodeDeltaBinary(d *DeltaResponse) ([]byte, error) {
@@ -111,14 +146,15 @@ func EncodeDeltaBinary(d *DeltaResponse) ([]byte, error) {
 	}
 	if len(payload) >= DeltaCompressMin {
 		var zb bytes.Buffer
-		zw, err := flate.NewWriter(&zb, flate.BestSpeed)
+		zw := flateWriters.Get().(*flate.Writer)
+		zw.Reset(&zb)
+		_, err := zw.Write(payload)
+		if err == nil {
+			err = zw.Close()
+		}
+		zw.Reset(nil)
+		flateWriters.Put(zw)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := zw.Write(payload); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
 			return nil, err
 		}
 		payload = zb.Bytes()
@@ -156,9 +192,7 @@ func DecodeDeltaBinary(data []byte) (*DeltaResponse, error) {
 	}
 	payload := data[len(deltaMagic)+1:]
 	if flags&deltaFlagCompressed != 0 {
-		zr := flate.NewReader(bytes.NewReader(payload))
-		raw, err := io.ReadAll(io.LimitReader(zr, maxDeltaPayload+1))
-		zr.Close()
+		raw, err := inflate(payload, maxDeltaPayload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: inflating payload: %v", ErrDeltaMalformed, err)
 		}

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,4 +263,77 @@ func TestAcceptAndContentTypeMatching(t *testing.T) {
 	if !strings.HasPrefix(ContentTypeDelta, "application/") {
 		t.Fatal("content type not a media type")
 	}
+}
+
+// TestDeltaBinaryWarmEncodeDecodeAllocs pins the pooled DEFLATE state:
+// once warm, encoding and decoding a 64-vaccine binary delta allocate
+// about 30 KB each, where a new flate writer per frame made an encode
+// cost 1.2 MB and a new reader made a decode cost 69 KB. The pooled
+// writer must emit exactly what a new one emits.
+func TestDeltaBinaryWarmEncodeDecodeAllocs(t *testing.T) {
+	reg := NewRegistry(0)
+	reg.SetGenerator("codec-test")
+	if _, _, err := reg.Publish(testVaccines("warm", 64)...); err != nil {
+		t.Fatal(err)
+	}
+	d := reg.Delta(0)
+	frame := mustEncodeBinary(t, d)
+	head := len(deltaMagic) + 1
+	if frame[head-1]&deltaFlagCompressed == 0 {
+		t.Fatal("64-vaccine frame is not compressed")
+	}
+	raw, err := inflate(frame[head:], maxDeltaPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	zw, err := flate.NewWriter(&fresh, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(raw)
+	zw.Close()
+	for i := 0; i < 3; i++ {
+		if got := mustEncodeBinary(t, d); !bytes.Equal(got[head:], fresh.Bytes()) {
+			t.Fatalf("warm encode %d: payload differs from a new flate writer's", i)
+		}
+	}
+
+	decode := func() {
+		out, err := DecodeDeltaBinary(frame)
+		if err != nil || len(out.Vaccines) != 64 {
+			t.Fatalf("decode: %v (%d vaccines)", err, len(out.Vaccines))
+		}
+	}
+	encode := func() { mustEncodeBinary(t, d) }
+	for _, c := range []struct {
+		name   string
+		op     func()
+		budget uint64
+	}{
+		{"encode", encode, 64 << 10},
+		{"decode", decode, 48 << 10},
+	} {
+		if got := medianAllocBytes(c.op); got > c.budget {
+			t.Errorf("warm %s allocated %d bytes/op (budget %d)", c.name, got, c.budget)
+		}
+	}
+}
+
+// medianAllocBytes returns the median of the bytes op allocates over 21
+// warm calls. The median keeps a call that finds its pool emptied by a
+// garbage collection from deciding the result.
+func medianAllocBytes(op func()) uint64 {
+	op()
+	var ms runtime.MemStats
+	per := make([]uint64, 21)
+	for i := range per {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		op()
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(per)
+	return per[len(per)/2]
 }

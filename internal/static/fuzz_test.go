@@ -22,7 +22,7 @@ func extractRealSlice(tb testing.TB) *determinism.Slice {
 	prog := malware.MustEmit(spec)
 	reg := winapi.Standard()
 	tr, err := emu.Run(prog, winenv.New(winenv.DefaultIdentity()),
-		emu.Options{Seed: 42, RecordSteps: true, Registry: reg})
+		emu.Options{Seed: 42, Profile: true, Registry: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
