@@ -1,9 +1,10 @@
-// Command vaccheck audits vaccine packs offline: it runs record
-// validation, the static slice verifier (internal/static), and the
-// domain sinkhole rules over every vaccine in one or more pack files,
-// reporting each violation with its rule, and exits non-zero if any
-// vaccine fails. It is the same gate fleet publication applies, usable
-// before a pack ever reaches a registry.
+// Command vaccheck audits vaccine packs offline: it runs the
+// distribution gate (vaccine.Vaccine.Verify: record validation, the
+// static slice verifier, and the domain sinkhole rule) over every
+// vaccine in one or more pack files, reporting each violation with its
+// rule, and exits non-zero if any vaccine fails. It is the same gate
+// fleet publication applies, usable before a pack ever reaches a
+// registry.
 //
 // Usage:
 //
@@ -17,12 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"autovac/internal/determinism"
-	"autovac/internal/exclusive"
 	"autovac/internal/vaccine"
-	"autovac/internal/winenv"
 )
 
 func main() {
@@ -88,49 +85,9 @@ func checkPack(path string) (int, *vaccine.AnalysisStats, []error, error) {
 	}
 	var failures []error
 	for i := range p.Vaccines {
-		v := &p.Vaccines[i]
-		if err := v.Validate(); err != nil {
-			failures = append(failures, err)
-			continue
-		}
-		if err := v.VerifyReplayable(); err != nil {
-			failures = append(failures, err)
-			continue
-		}
-		if err := auditDomain(v); err != nil {
+		if err := p.Vaccines[i].Verify(); err != nil {
 			failures = append(failures, err)
 		}
 	}
 	return len(p.Vaccines), p.Analysis, failures, nil
-}
-
-// auditDomain applies the sinkhole rules to domain vaccines: the
-// identifier must look like a hostname, and it must never cover benign
-// traffic — registering or blackholing update.microsoft.com would
-// break every host in the fleet.
-func auditDomain(v *vaccine.Vaccine) error {
-	if v.Resource != winenv.KindDomain {
-		return nil
-	}
-	id := v.Identifier
-	if v.Class == determinism.PartialStatic {
-		id = v.Pattern
-	}
-	// A pattern's wildcard stands for some concrete label; substitute a
-	// placeholder so suffix matching still sees the zone it covers.
-	probe := strings.ReplaceAll(id, "*", "x")
-	if exclusive.IsBenignDomain(probe) {
-		return fmt.Errorf("vaccine %s: sinkhole rule: domain %q covers benign traffic", v.ID, id)
-	}
-	host := probe
-	if i := strings.Index(host, "://"); i >= 0 {
-		host = host[i+3:]
-	}
-	if i := strings.IndexAny(host, ":/"); i >= 0 {
-		host = host[:i]
-	}
-	if !strings.Contains(host, ".") {
-		return fmt.Errorf("vaccine %s: sinkhole rule: %q is not a qualified hostname", v.ID, id)
-	}
-	return nil
 }

@@ -139,7 +139,7 @@ func run() error {
 		if normal.Exit != trace.ExitProcess {
 			controlInfected++
 		}
-		// Run against the live host (clones would drop daemon hooks).
+		// Run against the live host, daemon hooks included.
 		got, err := emu.Run(attack.Program, host, emu.Options{Seed: seed})
 		if err != nil {
 			return err
@@ -161,10 +161,15 @@ func run() error {
 	fmt.Printf("    payload weakened:   %d\n", weakened)
 	fmt.Printf("    unaffected:         %d\n", unaffected)
 
-	// The benign suite still runs cleanly on a vaccinated machine.
+	// The benign suite still runs cleanly on a vaccinated machine, daemon
+	// hooks included; each program starts from the same host state.
+	host := res.Agents[0].Env()
+	snap := host.Snapshot()
+	defer snap.Close()
 	broken := 0
 	for _, b := range benign {
-		tr, err := emu.Run(b.Program, res.Agents[0].Env().Clone(), emu.Options{Seed: seed})
+		tr, err := emu.Run(b.Program, host, emu.Options{Seed: seed})
+		host.Reset(snap)
 		if err != nil {
 			return err
 		}

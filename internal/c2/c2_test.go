@@ -54,24 +54,24 @@ func TestResolveSemantics(t *testing.T) {
 	n := winenv.New(winenv.DefaultIdentity()).Net()
 	n.SetResponder(sc.NewResponder())
 
-	if _, ok := n.Resolve("mal.exe", "cc.botnet.example"); !ok {
+	if _, ok := n.Resolve("cc.botnet.example"); !ok {
 		t.Fatal("C2 domain did not resolve")
 	}
-	if _, ok := n.Resolve("mal.exe", "iuqerfsod.example"); ok {
+	if _, ok := n.Resolve("iuqerfsod.example"); ok {
 		t.Fatal("killswitch domain resolved")
 	}
-	if _, ok := n.Resolve("mal.exe", "win-abc123.dga-feed.example"); !ok {
+	if _, ok := n.Resolve("win-abc123.dga-feed.example"); !ok {
 		t.Fatal("DGA name did not resolve")
 	}
 	// Unscripted names fall through to default success...
-	if _, ok := n.Resolve("mal.exe", "update.microsoft.com"); !ok {
+	if _, ok := n.Resolve("update.microsoft.com"); !ok {
 		t.Fatal("unscripted name failed in non-strict scenario")
 	}
 	// ...unless the scenario is strict.
 	sc2 := testScenario()
 	sc2.StrictResolve = true
 	n.SetResponder(sc2.NewResponder())
-	if _, ok := n.Resolve("mal.exe", "update.microsoft.com"); ok {
+	if _, ok := n.Resolve("update.microsoft.com"); ok {
 		t.Fatal("unscripted name resolved in strict scenario")
 	}
 }
@@ -81,7 +81,7 @@ func TestKillswitchRegistrationOverridesScript(t *testing.T) {
 	n := winenv.New(winenv.DefaultIdentity()).Net()
 	n.SetResponder(sc.NewResponder())
 	n.Register("iuqerfsod.example") // the deployed vaccine
-	if _, ok := n.Resolve("mal.exe", "iuqerfsod.example"); !ok {
+	if _, ok := n.Resolve("iuqerfsod.example"); !ok {
 		t.Fatal("registered killswitch did not resolve")
 	}
 }
@@ -92,21 +92,21 @@ func TestBeaconDialogue(t *testing.T) {
 	n := winenv.New(winenv.DefaultIdentity()).Net()
 	n.SetResponder(r)
 
-	s, ok := n.Connect("mal.exe", "cc.botnet.example:8080")
-	if !ok {
+	s := winenv.Handle(0x7000)
+	if !n.BindConnect(s, "cc.botnet.example:8080") {
 		t.Fatal("connect to scripted C2 failed")
 	}
 	// Wrong handshake: hangs up with an empty reply.
-	n.SendPayload("mal.exe", s, []byte("JUNK"))
-	if data, ok, handled := n.RecvPayload("mal.exe", s, 32); !handled || !ok || len(data) != 0 {
+	n.SendPayload(s, []byte("JUNK"))
+	if data, ok, handled := n.RecvPayload(s, 32); !handled || !ok || len(data) != 0 {
 		t.Fatalf("wrong handshake got %q ok=%v handled=%v", data, ok, handled)
 	}
 	if r.Exchanges() != 0 {
 		t.Fatal("failed handshake counted as exchange")
 	}
 	// Correct handshake: scripted reply.
-	n.SendPayload("mal.exe", s, []byte("HELO botnet/7")) // prefix match
-	data, ok, _ := n.RecvPayload("mal.exe", s, 32)
+	n.SendPayload(s, []byte("HELO botnet/7")) // prefix match
+	data, ok, _ := n.RecvPayload(s, 32)
 	if !ok || !bytes.Equal(data, []byte("CMD:run")) {
 		t.Fatalf("beacon reply = %q ok=%v", data, ok)
 	}
@@ -122,27 +122,28 @@ func TestStagedPayloadGatedOnBeacon(t *testing.T) {
 	n.SetResponder(r)
 
 	url := "http://cc.botnet.example/stage2.bin"
-	h, ok := n.HTTPGet("mal.exe", url)
+	h, ok := n.HTTPGet(url)
 	if !ok {
 		t.Fatal("HTTPGet to scripted stage failed")
 	}
 	// Stage locked before the beacon exchange.
-	if data, ok, handled := n.RecvPayload("mal.exe", h, 64); !handled || !ok || len(data) != 0 {
+	if data, ok, handled := n.RecvPayload(h, 64); !handled || !ok || len(data) != 0 {
 		t.Fatalf("locked stage served %q ok=%v handled=%v", data, ok, handled)
 	}
 	// Complete the beacon, then read the stage in two chunks.
-	s, _ := n.Connect("mal.exe", "cc.botnet.example:8080")
-	n.SendPayload("mal.exe", s, []byte("HELO"))
-	if _, ok, _ := n.RecvPayload("mal.exe", s, 16); !ok {
+	s := winenv.Handle(0x7000)
+	n.BindConnect(s, "cc.botnet.example:8080")
+	n.SendPayload(s, []byte("HELO"))
+	if _, ok, _ := n.RecvPayload(s, 16); !ok {
 		t.Fatal("beacon exchange failed")
 	}
-	first, _, _ := n.RecvPayload("mal.exe", h, 7)
-	rest, _, _ := n.RecvPayload("mal.exe", h, 64)
+	first, _, _ := n.RecvPayload(h, 7)
+	rest, _, _ := n.RecvPayload(h, 64)
 	if got := string(first) + string(rest); got != "PAYLOAD-BYTES" {
 		t.Fatalf("staged body = %q", got)
 	}
 	// EOF after the body is exhausted.
-	if data, _, _ := n.RecvPayload("mal.exe", h, 64); len(data) != 0 {
+	if data, _, _ := n.RecvPayload(h, 64); len(data) != 0 {
 		t.Fatalf("read past EOF returned %q", data)
 	}
 }
@@ -152,11 +153,12 @@ func TestResponderMarkRewind(t *testing.T) {
 	r := sc.NewResponder()
 	n := winenv.New(winenv.DefaultIdentity()).Net()
 	n.SetResponder(r)
-	s, _ := n.Connect("mal.exe", "cc.botnet.example:8080")
+	s := winenv.Handle(0x7000)
+	n.BindConnect(s, "cc.botnet.example:8080")
 
 	mark := r.Mark()
-	n.SendPayload("mal.exe", s, []byte("HELO"))
-	n.RecvPayload("mal.exe", s, 16)
+	n.SendPayload(s, []byte("HELO"))
+	n.RecvPayload(s, 16)
 	if r.Exchanges() != 1 {
 		t.Fatal("exchange not recorded")
 	}
@@ -165,8 +167,8 @@ func TestResponderMarkRewind(t *testing.T) {
 		t.Fatal("rewind did not restore exchange count")
 	}
 	// Rewinding twice to the same mark works (marks stay pristine).
-	n.SendPayload("mal.exe", s, []byte("HELO"))
-	n.RecvPayload("mal.exe", s, 16)
+	n.SendPayload(s, []byte("HELO"))
+	n.RecvPayload(s, 16)
 	r.Rewind(mark)
 	if r.Exchanges() != 0 {
 		t.Fatal("second rewind to same mark failed")
@@ -179,13 +181,14 @@ func TestResponderRewindsThroughSnapshot(t *testing.T) {
 	n := e.Net()
 	r := sc.NewResponder()
 	n.SetResponder(r)
-	s, _ := n.Connect("mal.exe", "cc.botnet.example:8080")
+	s := winenv.Handle(0x7000)
+	n.BindConnect(s, "cc.botnet.example:8080")
 
 	snap := e.Snapshot()
-	n.SendPayload("mal.exe", s, []byte("HELO"))
-	n.RecvPayload("mal.exe", s, 16)
-	h, _ := n.HTTPGet("mal.exe", "http://cc.botnet.example/stage2.bin")
-	n.RecvPayload("mal.exe", h, 64)
+	n.SendPayload(s, []byte("HELO"))
+	n.RecvPayload(s, 16)
+	h, _ := n.HTTPGet("http://cc.botnet.example/stage2.bin")
+	n.RecvPayload(h, 64)
 	e.Reset(snap)
 	snap.Close()
 
@@ -194,8 +197,8 @@ func TestResponderRewindsThroughSnapshot(t *testing.T) {
 	}
 	// The stage read offset must also rewind: a fresh gated read fails
 	// again until the beacon re-fires.
-	h2, _ := n.HTTPGet("mal.exe", "http://cc.botnet.example/stage2.bin")
-	if data, _, _ := n.RecvPayload("mal.exe", h2, 64); len(data) != 0 {
+	h2, _ := n.HTTPGet("http://cc.botnet.example/stage2.bin")
+	if data, _, _ := n.RecvPayload(h2, 64); len(data) != 0 {
 		t.Fatalf("stage offset not rewound, served %q", data)
 	}
 }

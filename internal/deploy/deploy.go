@@ -44,43 +44,6 @@ func ResolveIdentifier(env *winenv.Env, v *vaccine.Vaccine, seed uint64) (string
 	}
 }
 
-// Inject performs one-time direct injection of a static or
-// algorithm-deterministic vaccine into a host environment.
-//
-// SimulatePresence plants the resource (marker) with an ACL that
-// prevents the malware from deleting or overwriting it; BlockAccess
-// plants a super-user-owned placeholder that refuses every operation,
-// the §VI-D sdra64.exe strategy.
-func Inject(env *winenv.Env, v *vaccine.Vaccine, seed uint64) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	if v.Class == determinism.PartialStatic {
-		return fmt.Errorf("deploy: %s: partial-static vaccines require the daemon", v.ID)
-	}
-	ident, err := ResolveIdentifier(env, v, seed)
-	if err != nil {
-		return err
-	}
-	if v.Resource == winenv.KindDomain {
-		injectDomain(env, v.Polarity, ident)
-		return nil
-	}
-	res := winenv.Resource{
-		Kind:  v.Resource,
-		Name:  ident,
-		Owner: "vaccine",
-	}
-	switch v.Polarity {
-	case vaccine.SimulatePresence:
-		res.ACL = winenv.DenyOps(winenv.OpDelete, winenv.OpWrite)
-	case vaccine.BlockAccess:
-		res.ACL = winenv.DenyAll()
-	}
-	env.Inject(res)
-	return nil
-}
-
 // injectDomain deploys a domain vaccine into the host's DNS world.
 // Domain resources have no namespace entry to plant; the two polarities
 // translate to the two network countermeasures: SimulatePresence
@@ -103,35 +66,6 @@ func removeDomain(env *winenv.Env, pol vaccine.Polarity, ident string) {
 	} else {
 		env.Net().Unblackhole(ident)
 	}
-}
-
-// InjectAll injects a set of vaccines, returning the first error.
-func InjectAll(env *winenv.Env, vaccines []vaccine.Vaccine, seed uint64) error {
-	for i := range vaccines {
-		v := &vaccines[i]
-		if v.Delivery == vaccine.VaccineDaemon && v.Class == determinism.PartialStatic {
-			// Daemon-only vaccines are skipped here; use a Daemon.
-			continue
-		}
-		if err := Inject(env, v, seed); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Remove deletes a previously injected vaccine resource.
-func Remove(env *winenv.Env, v *vaccine.Vaccine, seed uint64) error {
-	ident, err := ResolveIdentifier(env, v, seed)
-	if err != nil {
-		return err
-	}
-	if v.Resource == winenv.KindDomain {
-		removeDomain(env, v.Polarity, ident)
-		return nil
-	}
-	env.Remove(v.Resource, ident)
-	return nil
 }
 
 // Daemon is the resident vaccine service (§V "Vaccine Daemon"): it
@@ -209,7 +143,11 @@ func (d *Daemon) Install(v vaccine.Vaccine) error {
 	}
 }
 
-// injectConcrete plants a concrete resource for a vaccine.
+// injectConcrete plants a concrete resource for a vaccine, the
+// one-time direct injection: SimulatePresence plants the marker with
+// an ACL that prevents the malware from deleting or overwriting it;
+// BlockAccess plants a super-user-owned placeholder that refuses every
+// operation, the §VI-D sdra64.exe strategy.
 func (d *Daemon) injectConcrete(v vaccine.Vaccine, ident string) {
 	if v.Resource == winenv.KindDomain {
 		injectDomain(d.env, v.Polarity, ident)

@@ -1,7 +1,6 @@
 package deploy
 
 import (
-	"strings"
 	"testing"
 
 	"autovac/internal/determinism"
@@ -35,8 +34,7 @@ func blockVaccine() vaccine.Vaccine {
 
 func TestInjectSimulatePresence(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
-	v := staticVaccine()
-	if err := Inject(env, &v, 1); err != nil {
+	if err := NewDaemon(env, 1).Install(staticVaccine()); err != nil {
 		t.Fatal(err)
 	}
 	r := env.Lookup(winenv.KindMutex, "!VoqA.I4")
@@ -56,8 +54,7 @@ func TestInjectSimulatePresence(t *testing.T) {
 
 func TestInjectBlockAccess(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
-	v := blockVaccine()
-	if err := Inject(env, &v, 1); err != nil {
+	if err := NewDaemon(env, 1).Install(blockVaccine()); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range []winenv.Op{winenv.OpCreate, winenv.OpOpen, winenv.OpWrite, winenv.OpRead} {
@@ -72,8 +69,7 @@ func TestInjectedVaccineImmunizesSample(t *testing.T) {
 	g := malware.NewGenerator(1)
 	s, _ := g.FamilySample(malware.PoisonIvy)
 	env := winenv.New(winenv.DefaultIdentity())
-	v := staticVaccine()
-	if err := Inject(env, &v, 1); err != nil {
+	if err := NewDaemon(env, 1).Install(staticVaccine()); err != nil {
 		t.Fatal(err)
 	}
 	tr, _ := emu.Run(s.Program, env, emu.Options{Seed: 5})
@@ -109,7 +105,7 @@ func TestAlgorithmDeterministicInjection(t *testing.T) {
 	otherID := winenv.DefaultIdentity()
 	otherID.ComputerName = "HR-LAPTOP-3"
 	hostB := winenv.New(otherID)
-	if err := Inject(hostB, &v, 1); err != nil {
+	if err := NewDaemon(hostB, 1).Install(v); err != nil {
 		t.Fatal(err)
 	}
 	if !hostB.Exists(winenv.KindMutex, `Global\HR-LAPTOP-3-9`) {
@@ -268,52 +264,6 @@ func TestDaemonRefreshOnIdentityChange(t *testing.T) {
 	}
 }
 
-func TestInjectRejectsPartialStatic(t *testing.T) {
-	env := winenv.New(winenv.DefaultIdentity())
-	v := vaccine.Vaccine{
-		ID: "p/mutex/0", Sample: "p",
-		Resource: winenv.KindMutex, Pattern: "P-*",
-		Class: determinism.PartialStatic, Effect: impact.Full,
-		Delivery: vaccine.VaccineDaemon,
-	}
-	if err := Inject(env, &v, 1); err == nil || !strings.Contains(err.Error(), "daemon") {
-		t.Errorf("Inject(partial-static) err = %v", err)
-	}
-}
-
-func TestInjectAllSkipsDaemonOnly(t *testing.T) {
-	env := winenv.New(winenv.DefaultIdentity())
-	vs := []vaccine.Vaccine{
-		staticVaccine(),
-		{
-			ID: "p/mutex/0", Sample: "p",
-			Resource: winenv.KindMutex, Pattern: "P-*",
-			Class: determinism.PartialStatic, Effect: impact.Full,
-			Polarity: vaccine.SimulatePresence, Delivery: vaccine.VaccineDaemon,
-		},
-	}
-	if err := InjectAll(env, vs, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !env.Exists(winenv.KindMutex, "!VoqA.I4") {
-		t.Error("static vaccine not injected")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	env := winenv.New(winenv.DefaultIdentity())
-	v := staticVaccine()
-	if err := Inject(env, &v, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Remove(env, &v, 1); err != nil {
-		t.Fatal(err)
-	}
-	if env.Exists(winenv.KindMutex, "!VoqA.I4") {
-		t.Error("vaccine not removed")
-	}
-}
-
 func TestInstallPackIdempotent(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
 	d := NewDaemon(env, 1)
@@ -365,17 +315,15 @@ func sinkholeVaccine() vaccine.Vaccine {
 func TestInjectDomainSinkhole(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
 	v := sinkholeVaccine()
-	if err := Inject(env, &v, 1); err != nil {
+	if err := NewDaemon(env, 1).Install(v); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := env.Net().Resolve("mal.exe", "cc.botnet.example"); ok {
+	if _, ok := env.Net().Resolve("cc.botnet.example"); ok {
 		t.Fatal("sinkholed C2 domain still resolves")
 	}
-	if err := Remove(env, &v, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := env.Net().Resolve("mal.exe", "cc.botnet.example"); !ok {
-		t.Fatal("domain still sinkholed after Remove")
+	removeDomain(env, v.Polarity, v.Identifier)
+	if _, ok := env.Net().Resolve("cc.botnet.example"); !ok {
+		t.Fatal("domain still sinkholed after removeDomain")
 	}
 }
 
@@ -385,17 +333,15 @@ func TestInjectDomainKillswitchRegistration(t *testing.T) {
 	v.ID = "worm/domain/1"
 	v.Identifier = "iuqerfsod.example"
 	v.Polarity = vaccine.SimulatePresence
-	if err := Inject(env, &v, 1); err != nil {
+	if err := NewDaemon(env, 1).Install(v); err != nil {
 		t.Fatal(err)
 	}
 	if !env.Net().Registered("iuqerfsod.example") {
 		t.Fatal("killswitch not registered")
 	}
-	if err := Remove(env, &v, 1); err != nil {
-		t.Fatal(err)
-	}
+	removeDomain(env, v.Polarity, v.Identifier)
 	if env.Net().Registered("iuqerfsod.example") {
-		t.Fatal("killswitch still registered after Remove")
+		t.Fatal("killswitch still registered after removeDomain")
 	}
 }
 
@@ -410,10 +356,10 @@ func TestDaemonDomainPatternSinkhole(t *testing.T) {
 	if err := d.Install(v); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := env.Net().Resolve("mal.exe", "win-x.dga-feed.example"); ok {
+	if _, ok := env.Net().Resolve("win-x.dga-feed.example"); ok {
 		t.Fatal("patterned DGA domain resolved through daemon")
 	}
-	if _, ok := env.Net().Resolve("mal.exe", "update.example.com"); !ok {
+	if _, ok := env.Net().Resolve("update.example.com"); !ok {
 		t.Fatal("unrelated domain refused by daemon")
 	}
 	// A presence-polarity pattern forces resolution instead.
@@ -428,7 +374,7 @@ func TestDaemonDomainPatternSinkhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Net().SetResponder(refuseResponder{})
-	if _, ok := env.Net().Resolve("mal.exe", "ks-2026.example"); !ok {
+	if _, ok := env.Net().Resolve("ks-2026.example"); !ok {
 		t.Fatal("presence pattern did not force registration over responder refusal")
 	}
 	if _, intercepted := d.Stats(); intercepted < 2 {

@@ -6,36 +6,8 @@ import (
 
 	"autovac/internal/determinism"
 	"autovac/internal/impact"
-	"autovac/internal/vaccine"
 	"autovac/internal/winenv"
 )
-
-func TestInterruptedBatchDeployment(t *testing.T) {
-	// InjectAll stops at the first failing vaccine; everything before it
-	// stays installed (the caller decides whether to roll back).
-	env := winenv.New(winenv.DefaultIdentity())
-	good := staticVaccine()
-	bad := vaccine.Vaccine{
-		ID: "broken/mutex/0", Sample: "broken",
-		Resource: winenv.KindMutex, // static without identifier: invalid
-		Class:    determinism.Static, Effect: impact.Full,
-		Polarity: vaccine.SimulatePresence, Delivery: vaccine.DirectInjection,
-	}
-	after := staticVaccine()
-	after.ID = "after/mutex/0"
-	after.Identifier = "AFTER-MUTEX"
-
-	err := InjectAll(env, []vaccine.Vaccine{good, bad, after}, 1)
-	if err == nil {
-		t.Fatal("invalid vaccine accepted")
-	}
-	if !env.Exists(winenv.KindMutex, "!VoqA.I4") {
-		t.Error("vaccine before the failure not installed")
-	}
-	if env.Exists(winenv.KindMutex, "AFTER-MUTEX") {
-		t.Error("vaccine after the failure installed despite error")
-	}
-}
 
 func TestResolveIdentifierErrors(t *testing.T) {
 	env := winenv.New(winenv.DefaultIdentity())
@@ -67,15 +39,5 @@ func TestDaemonInstallRejectsInvalid(t *testing.T) {
 	}
 	if d.VaccineCount() != 0 {
 		t.Error("invalid vaccine counted")
-	}
-}
-
-func TestRemoveWithUnresolvableIdentifier(t *testing.T) {
-	env := winenv.New(winenv.DefaultIdentity())
-	v := staticVaccine()
-	v.Class = determinism.AlgorithmDeterministic
-	v.Slice = nil
-	if err := Remove(env, &v, 1); err == nil {
-		t.Error("Remove with unresolvable identifier succeeded")
 	}
 }

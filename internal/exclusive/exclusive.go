@@ -19,6 +19,7 @@ import (
 	"autovac/internal/determinism"
 	"autovac/internal/emu"
 	"autovac/internal/malware"
+	"autovac/internal/vaccine"
 	"autovac/internal/winenv"
 )
 
@@ -61,60 +62,7 @@ func (ix *Index) addWhitelist() {
 		`HKLM\Software\Microsoft\Windows NT\CurrentVersion\Winlogon`,
 		`HKLM\System\CurrentControlSet\Services`)
 	add(winenv.KindService, "EventLog", "Dhcp", "Dnscache", "LanmanServer")
-	add(winenv.KindDomain, DefaultBenignDomains()...)
-}
-
-// DefaultBenignDomains lists well-known benign-traffic domains that
-// must never become vaccine material: sinkholing update.microsoft.com
-// would break every machine's update path. Exclusiveness checks match
-// these by suffix, so sub-domains are covered too.
-func DefaultBenignDomains() []string {
-	return []string{
-		"update.microsoft.com",
-		"windowsupdate.microsoft.com",
-		"download.windowsupdate.com",
-		"time.windows.com",
-		"crl.microsoft.com",
-		"www.msftncsi.com",
-		"dns.msftncsi.com",
-		"ocsp.digicert.com",
-	}
-}
-
-// IsBenignDomain reports whether a hostname (or host:port/URL target)
-// is one of the default benign-traffic domains or a sub-domain of one.
-// cmd/vaccheck uses it as a standalone audit rule for sinkhole vaccines.
-func IsBenignDomain(target string) bool {
-	host := domainKey(target)
-	for _, d := range DefaultBenignDomains() {
-		if domainCovers(d, host) {
-			return true
-		}
-	}
-	return false
-}
-
-// domainKey normalizes a domain identifier: lower-case bare hostname
-// with scheme, path, and port stripped. URLs and host:port targets
-// index under their hostname.
-func domainKey(s string) string {
-	h := strings.ToLower(s)
-	if i := strings.Index(h, "://"); i >= 0 {
-		h = h[i+3:]
-	}
-	if i := strings.IndexByte(h, '/'); i >= 0 {
-		h = h[:i]
-	}
-	if i := strings.LastIndexByte(h, ':'); i >= 0 {
-		h = h[:i]
-	}
-	return h
-}
-
-// domainCovers reports whether benign (a bare lower-case hostname)
-// covers host: equal, or host is a sub-domain of benign.
-func domainCovers(benign, host string) bool {
-	return host == benign || strings.HasSuffix(host, "."+benign)
+	add(winenv.KindDomain, vaccine.DefaultBenignDomains()...)
 }
 
 // Add records a benign use of an identifier.
@@ -140,7 +88,7 @@ func canonical(s string) string {
 // else under the winenv namespace spelling.
 func canonicalFor(kind winenv.ResourceKind, s string) string {
 	if kind == winenv.KindDomain {
-		return domainKey(s)
+		return vaccine.DomainHost(s)
 	}
 	return canonical(s)
 }

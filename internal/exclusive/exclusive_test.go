@@ -139,12 +139,3 @@ func TestDomainExclusiveness(t *testing.T) {
 		t.Errorf("sub-domain BenignUser = %q, %v", u, ok)
 	}
 }
-
-func TestIsBenignDomain(t *testing.T) {
-	if !IsBenignDomain("time.windows.com") || !IsBenignDomain("a.time.windows.com:123") {
-		t.Error("benign domain not recognized")
-	}
-	if IsBenignDomain("cc.botnet.example") || IsBenignDomain("windows.com.evil.example") {
-		t.Error("non-benign domain recognized as benign")
-	}
-}

@@ -209,14 +209,13 @@ func zeusSample() (*malware.Sample, error) {
 	return malware.NewGenerator(BenchSeed).FamilySample(malware.Zeus)
 }
 
-// oneShot times Zeus run with opts on a fresh environment clone per
-// run, the seed tree's shape.
+// oneShot times Zeus run with opts on a fresh environment per run, the
+// seed tree's shape.
 func oneShot(opts emu.Options) func() (Fixture, error) {
 	return func() (Fixture, error) {
 		zeus, err := zeusSample()
-		env := winenv.New(winenv.DefaultIdentity())
 		return Fixture{Run: traced(func() (*trace.Trace, error) {
-			return emu.Run(zeus.Program, env.Clone(), opts)
+			return emu.Run(zeus.Program, winenv.New(winenv.DefaultIdentity()), opts)
 		})}, err
 	}
 }

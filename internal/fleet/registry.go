@@ -202,25 +202,22 @@ func (r *Registry) raise(v uint64) {
 // It returns the registry's latest version and the number of vaccines
 // actually (re)stored.
 //
-// Publication is the last gate before fleet-wide distribution, so in
-// addition to record validation every vaccine must pass the static
-// slice verifier (VerifyReplayable): a vaccine whose replay slice
-// could loop, fault, or touch host resources is refused.
+// Publication is the last gate before fleet-wide distribution, so every
+// vaccine must pass vaccine.Vaccine.Verify: a malformed record, a
+// replay slice that could loop, fault, or touch host resources, or a
+// domain vaccine that would sinkhole benign traffic or an unqualified
+// name is refused.
 // With a write-ahead log (OpenRegistry) the batch becomes visible only
 // once fsynced, concurrent publishers sharing one fsync; a failed
 // append or fsync is sticky, so this publish and every later one fail
 // and the registry keeps serving its last durable state.
 func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
-	// Validate up to the first bad vaccine; the ones before it are
+	// Verify up to the first bad vaccine; the ones before it are
 	// still published.
 	var pubErr error
 	fps := make([]string, 0, len(vs))
 	for i := range vs {
-		if err := vs[i].Validate(); err != nil {
-			pubErr = fmt.Errorf("fleet: publish: %w", err)
-			break
-		}
-		if err := vs[i].VerifyReplayable(); err != nil {
+		if err := vs[i].Verify(); err != nil {
 			pubErr = fmt.Errorf("fleet: publish: %w", err)
 			break
 		}

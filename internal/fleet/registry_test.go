@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +110,29 @@ func TestPublishRefusesUnreplayableSlice(t *testing.T) {
 	}
 	if r.Count() != 0 || r.Latest() != 0 {
 		t.Fatalf("refused publish left state behind: count %d version %d", r.Count(), r.Latest())
+	}
+}
+
+// TestPublishRefusesUnsafeSinkhole checks the sinkhole rule at the
+// registry: a domain vaccine that would blackhole benign traffic or an
+// unqualified name is refused for distribution, as cmd/vaccheck
+// refuses it.
+func TestPublishRefusesUnsafeSinkhole(t *testing.T) {
+	for _, host := range []string{"update.microsoft.com", "localhost"} {
+		v := staticVaccine("net/domain/"+host, host)
+		v.Resource = winenv.KindDomain
+		v.Op, v.API = "open", "gethostbyname"
+		v.Polarity = vaccine.BlockAccess
+		if err := v.Validate(); err != nil {
+			t.Fatalf("record validation must pass for this test to bite: %v", err)
+		}
+		r := NewRegistry(0)
+		if _, _, err := r.Publish(v); err == nil || !strings.Contains(err.Error(), "sinkhole rule") {
+			t.Fatalf("BlockAccess vaccine for %q: Publish err = %v, want a sinkhole-rule refusal", host, err)
+		}
+		if r.Count() != 0 || r.Latest() != 0 {
+			t.Fatalf("refused publish left state behind: count %d version %d", r.Count(), r.Latest())
+		}
 	}
 }
 

@@ -190,3 +190,12 @@ func TestDedupeDomainVaccines(t *testing.T) {
 		t.Errorf("domain pack failed Verify: %v", err)
 	}
 }
+
+func TestIsBenignDomain(t *testing.T) {
+	if !IsBenignDomain("time.windows.com") || !IsBenignDomain("a.time.windows.com:123") {
+		t.Error("benign domain not recognized")
+	}
+	if IsBenignDomain("cc.botnet.example") || IsBenignDomain("windows.com.evil.example") {
+		t.Error("non-benign domain recognized as benign")
+	}
+}

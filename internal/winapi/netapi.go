@@ -49,7 +49,7 @@ func registerNet(r *Registry, domainLabels bool) {
 			if err != nil {
 				return Outcome{}, err
 			}
-			if _, ok := m.Env().Net().Resolve(m.Principal(), host); !ok {
+			if _, ok := m.Env().Net().Resolve(host); !ok {
 				if domainLabels {
 					m.Env().SetLastError(winenv.ErrHostNotFound)
 				}
@@ -86,7 +86,7 @@ func registerNet(r *Registry, domainLabels bool) {
 			if err != nil {
 				return Outcome{}, err
 			}
-			if !m.Env().Net().BindConnect(m.Principal(), winenv.Handle(args[0].Value), target) {
+			if !m.Env().Net().BindConnect(winenv.Handle(args[0].Value), target) {
 				if domainLabels {
 					m.Env().SetLastError(winenv.ErrConnRefused)
 				}
@@ -113,12 +113,10 @@ func registerNet(r *Registry, domainLabels bool) {
 				if err != nil {
 					return Outcome{}, err
 				}
-				if !net.SendPayload(m.Principal(), winenv.Handle(args[0].Value), data) {
+				if !net.SendPayload(winenv.Handle(args[0].Value), data) {
 					return Outcome{Ret: socketError}, nil
 				}
-				return Outcome{Ret: n, Success: true}, nil
 			}
-			net.RecordSend(m.Principal(), int(n))
 			return Outcome{Ret: n, Success: true}, nil
 		},
 	})
@@ -136,7 +134,7 @@ func registerNet(r *Registry, domainLabels bool) {
 				// Scripted dialogue: the responder decides the reply. The
 				// return value is the byte count (0 = the C2 hung up),
 				// which is what beacon-gated samples branch on.
-				data, ok, handled := net.RecvPayload(m.Principal(), winenv.Handle(args[0].Value), int(n))
+				data, ok, handled := net.RecvPayload(winenv.Handle(args[0].Value), int(n))
 				if handled {
 					if !ok {
 						return Outcome{Ret: socketError}, nil
@@ -158,7 +156,6 @@ func registerNet(r *Registry, domainLabels bool) {
 					return Outcome{}, err
 				}
 			}
-			net.RecordRecv(m.Principal(), int(n))
 			return Outcome{Ret: n, Success: true}, nil
 		},
 	})
@@ -198,7 +195,7 @@ func registerNet(r *Registry, domainLabels bool) {
 			if err != nil {
 				return Outcome{}, err
 			}
-			h, ok := m.Env().Net().HTTPGet(m.Principal(), url)
+			h, ok := m.Env().Net().HTTPGet(url)
 			if !ok {
 				if domainLabels {
 					m.Env().SetLastError(winenv.ErrHostNotFound)
@@ -221,7 +218,7 @@ func registerNet(r *Registry, domainLabels bool) {
 			if net.HasResponder() {
 				// Scripted staged fetch: return the byte count so droppers
 				// observe a locked/exhausted stage as a zero-length read.
-				data, ok, handled := net.RecvPayload(m.Principal(), winenv.Handle(args[0].Value), int(n))
+				data, ok, handled := net.RecvPayload(winenv.Handle(args[0].Value), int(n))
 				if handled {
 					if !ok {
 						return Outcome{Ret: 0}, nil
@@ -243,7 +240,6 @@ func registerNet(r *Registry, domainLabels bool) {
 					return Outcome{}, err
 				}
 			}
-			net.RecordRecv(m.Principal(), int(n))
 			return Outcome{Ret: 1, Success: true}, nil
 		},
 	})

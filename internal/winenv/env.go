@@ -75,7 +75,7 @@ type openHandle struct {
 // zero value is not usable; construct with New.
 //
 // Env is not safe for concurrent use; each emulated execution owns its
-// Env (use Clone to fork).
+// Env.
 type Env struct {
 	identity  HostIdentity
 	resources map[ResourceKind]map[string]*Resource
@@ -83,7 +83,6 @@ type Env struct {
 	next      Handle
 	lastErr   ErrorCode
 	hooks     []Hook
-	tick      uint64
 	net       *Network
 	// snaps is the stack of open snapshots; mutation points journal
 	// prior values into it (see snapshot.go). Empty in the common case.
@@ -150,9 +149,6 @@ func (e *Env) LastError() ErrorCode { return e.lastErr }
 // SetLastError sets the GetLastError value.
 func (e *Env) SetLastError(c ErrorCode) { e.lastErr = c }
 
-// Tick returns the logical clock, which advances on every operation.
-func (e *Env) Tick() uint64 { return e.tick }
-
 // AddHook registers an interception hook. Hooks run in registration order;
 // the first hook returning a non-nil Result decides the operation.
 func (e *Env) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
@@ -166,7 +162,6 @@ func (e *Env) HookCount() int { return len(e.hooks) }
 // Do performs a resource operation: it consults hooks, applies namespace
 // semantics, and updates GetLastError.
 func (e *Env) Do(req Request) Result {
-	e.tick++
 	res := e.dispatch(req)
 	// Failures always set last-error. A success with a non-success code
 	// also sets it (CreateMutex on an existing object succeeds but reports
@@ -217,11 +212,10 @@ func (e *Env) dispatch(req Request) Result {
 			e.noteResource(req.Kind, key)
 		}
 		ns[key] = &Resource{
-			Kind:      req.Kind,
-			Name:      req.Name,
-			Data:      append([]byte(nil), req.Data...),
-			Owner:     req.Principal,
-			CreatedAt: e.tick,
+			Kind:  req.Kind,
+			Name:  req.Name,
+			Data:  append([]byte(nil), req.Data...),
+			Owner: req.Principal,
 		}
 		return Result{OK: true, Handle: e.open(req)}
 
@@ -342,7 +336,6 @@ func (e *Env) Inject(r Resource) {
 	if r.Owner == "" {
 		r.Owner = "vaccine"
 	}
-	r.CreatedAt = e.tick
 	key := canonicalName(r.Name)
 	if len(e.snaps) > 0 {
 		e.noteResource(r.Kind, key)
@@ -409,48 +402,6 @@ func (e *Env) RecordReads() *ReadSet {
 
 // StopReads ends the recording RecordReads started.
 func (e *Env) StopReads() { e.reads = nil }
-
-// Clone returns a deep copy of the environment: resources, handle table,
-// identity, and last error. Hooks are NOT copied; a clone starts with
-// no interception, which is what repeated-analysis runs need.
-func (e *Env) Clone() *Env {
-	c := &Env{
-		identity:  e.identity,
-		resources: make(map[ResourceKind]map[string]*Resource, len(e.resources)),
-		handles:   make(map[Handle]openHandle, len(e.handles)),
-		next:      e.next,
-		lastErr:   e.lastErr,
-		tick:      e.tick,
-	}
-	for k, ns := range e.resources {
-		m := make(map[string]*Resource, len(ns))
-		for name, r := range ns {
-			m[name] = r.clone()
-		}
-		c.resources[k] = m
-	}
-	for h, oh := range e.handles {
-		c.handles[h] = oh
-	}
-	if e.net != nil {
-		// Copy network configuration (DNS, blackholes, registrations) but
-		// not flow logs, resolve hooks, or the responder: a responder is
-		// single-env dialogue state, so each clone attaches its own (the
-		// fleet worm simulation gives every host a fresh scenario
-		// responder for race-free concurrent infection attempts).
-		cn := c.Net()
-		for k, v := range e.net.dns {
-			cn.dns[k] = v
-		}
-		for k, v := range e.net.blackholed {
-			cn.blackholed[k] = v
-		}
-		for k, v := range e.net.registered {
-			cn.registered[k] = v
-		}
-	}
-	return c
-}
 
 // String summarizes the environment population.
 func (e *Env) String() string {

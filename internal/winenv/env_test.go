@@ -1,6 +1,7 @@
 package winenv
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -196,37 +197,6 @@ func TestHandleLifecycle(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	e := New(DefaultIdentity())
-	e.Do(Request{Kind: KindMutex, Op: OpCreate, Name: "orig", Principal: "p"})
-	c := e.Clone()
-
-	// Mutating the clone does not affect the original.
-	c.Do(Request{Kind: KindMutex, Op: OpCreate, Name: "clone-only", Principal: "p"})
-	if e.Exists(KindMutex, "clone-only") {
-		t.Error("clone mutation leaked into original")
-	}
-	if !c.Exists(KindMutex, "orig") {
-		t.Error("clone lost original resource")
-	}
-
-	// Data is deep-copied.
-	e.Do(Request{Kind: KindFile, Op: OpCreate, Name: "f", Principal: "p", Data: []byte("aaa")})
-	c2 := e.Clone()
-	e.Do(Request{Kind: KindFile, Op: OpWrite, Name: "f", Principal: "p", Data: []byte("bbb")})
-	r := c2.Do(Request{Kind: KindFile, Op: OpRead, Name: "f", Principal: "p"})
-	if string(r.Data) != "aaa" {
-		t.Errorf("clone data = %q, want aaa", r.Data)
-	}
-
-	// Clones do not inherit hooks.
-	e.AddHook(func(Request) *Result { return nil })
-	c3 := e.Clone()
-	if c3.HookCount() != 0 {
-		t.Error("clone inherited hooks")
-	}
-}
-
 func TestSystemPopulation(t *testing.T) {
 	e := New(DefaultIdentity())
 	for _, tc := range []struct {
@@ -318,34 +288,51 @@ func TestHandleUniquenessProperty(t *testing.T) {
 	}
 }
 
-// Property: Clone then arbitrary ops on the clone leaves the original's
-// resource counts unchanged.
-func TestClonePropertyIsolation(t *testing.T) {
+// Property: a Snapshot, arbitrary ops, then Reset, twice over, leave
+// every namespace and the handle table as the snapshot captured them.
+func TestSnapshotPropertyIsolation(t *testing.T) {
 	f := func(ops []uint8, names []string) bool {
 		e := New(DefaultIdentity())
-		before := make(map[ResourceKind]int)
-		for _, k := range Kinds() {
-			before[k] = e.ResourceCount(k)
-		}
-		c := e.Clone()
-		for i, b := range ops {
-			if len(names) == 0 {
-				break
-			}
-			name := names[i%len(names)]
-			if name == "" {
-				name = "n"
-			}
-			kind := Kinds()[int(b)%len(Kinds())]
-			op := Ops()[int(b/8)%len(Ops())]
-			c.Do(Request{Kind: kind, Op: op, Name: name, Principal: "p"})
-		}
-		for _, k := range Kinds() {
-			if e.ResourceCount(k) != before[k] {
-				return false
+		held := e.Do(Request{Kind: KindFile, Op: OpCreate, Name: "held", Principal: "p", Data: []byte("v1")}).Handle
+		resources := make(map[resKey]*Resource)
+		for k, ns := range e.resources {
+			for key, r := range ns {
+				resources[resKey{k, key}] = r.clone()
 			}
 		}
-		return true
+		handles := maps.Clone(e.handles)
+
+		snap := e.Snapshot()
+		defer snap.Close()
+		for round := 0; round < 2; round++ {
+			for i, b := range ops {
+				if len(names) == 0 {
+					break
+				}
+				name := names[i%len(names)]
+				if name == "" || b%5 == 0 {
+					name = "held"
+				}
+				kind := Kinds()[int(b)%len(Kinds())]
+				op := Ops()[int(b/8)%len(Ops())]
+				e.Do(Request{Kind: kind, Op: op, Name: name, Principal: "p", Data: []byte{b}})
+				if b%7 == 0 {
+					e.CloseHandle(held)
+				}
+			}
+			e.Reset(snap)
+		}
+
+		n := 0
+		for k, ns := range e.resources {
+			for key, r := range ns {
+				if !sameResource(r, resources[resKey{k, key}]) {
+					return false
+				}
+				n++
+			}
+		}
+		return n == len(resources) && maps.Equal(e.handles, handles)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -357,64 +344,36 @@ func TestNetwork(t *testing.T) {
 	n := e.Net()
 	n.AddDNS("cc.evil.example", "203.0.113.7")
 
-	ip, ok := n.Resolve("mal", "cc.evil.example")
+	ip, ok := n.Resolve("cc.evil.example")
 	if !ok || ip != "203.0.113.7" {
 		t.Fatalf("Resolve = %q %v", ip, ok)
 	}
 	// Unknown hosts synthesize a stable address.
-	ip1, ok1 := n.Resolve("mal", "unknown.example")
-	ip2, _ := n.Resolve("mal", "unknown.example")
+	ip1, ok1 := n.Resolve("unknown.example")
+	ip2, _ := n.Resolve("unknown.example")
 	if !ok1 || ip1 != ip2 {
 		t.Errorf("synthetic resolve unstable: %q vs %q", ip1, ip2)
 	}
 
-	s, ok := n.Connect("mal", "203.0.113.7:443")
-	if !ok || s == InvalidHandle {
-		t.Fatalf("Connect = %v %v", s, ok)
+	s := Handle(0x7000)
+	if !n.BindConnect(s, "203.0.113.7:443") {
+		t.Fatal("BindConnect failed")
 	}
-	if !n.Send("mal", s, 128) {
-		t.Error("Send failed")
-	}
-	if got, ok := n.Recv("mal", s, 64); !ok || got != 64 {
-		t.Errorf("Recv = %d %v", got, ok)
+	if !n.SendPayload(s, make([]byte, 128)) {
+		t.Error("SendPayload failed")
 	}
 	n.CloseSocket(s)
-	if n.Send("mal", s, 1) {
-		t.Error("Send on closed socket succeeded")
+	if n.SendPayload(s, []byte{1}) {
+		t.Error("SendPayload on closed socket succeeded")
 	}
 
 	n.Blackhole("dead.example")
-	if _, ok := n.Resolve("mal", "dead.example"); ok {
+	if _, ok := n.Resolve("dead.example"); ok {
 		t.Error("blackholed resolve succeeded")
 	}
 	n.Blackhole("1.2.3.4:80")
-	if _, ok := n.Connect("mal", "1.2.3.4:80"); ok {
+	if n.BindConnect(s, "1.2.3.4:80") {
 		t.Error("blackholed connect succeeded")
-	}
-
-	if len(n.Flows()) == 0 {
-		t.Fatal("no flows recorded")
-	}
-	n.ResetFlows()
-	if len(n.Flows()) != 0 {
-		t.Error("ResetFlows left flows")
-	}
-}
-
-func TestCloneCopiesNetworkConfig(t *testing.T) {
-	e := New(DefaultIdentity())
-	e.Net().AddDNS("a.example", "1.1.1.1")
-	e.Net().Blackhole("b.example")
-	c := e.Clone()
-	if ip, ok := c.Net().Resolve("p", "a.example"); !ok || ip != "1.1.1.1" {
-		t.Errorf("clone dns resolve = %q %v", ip, ok)
-	}
-	if _, ok := c.Net().Resolve("p", "b.example"); ok {
-		t.Error("clone lost blackhole config")
-	}
-	// Both Resolve calls above record a flow (one success, one failure).
-	if len(c.Net().Flows()) != 2 {
-		t.Errorf("clone flows = %d, want 2", len(c.Net().Flows()))
 	}
 }
 
@@ -433,11 +392,7 @@ func TestEnvAccessors(t *testing.T) {
 	if e.LastError() != ErrAccessDenied {
 		t.Error("SetLastError lost")
 	}
-	t0 := e.Tick()
 	e.Do(Request{Kind: KindMutex, Op: OpCreate, Name: "t", Principal: "p"})
-	if e.Tick() <= t0 {
-		t.Error("tick not advancing")
-	}
 	if e.OpenHandleCount() != 1 {
 		t.Errorf("open handles = %d", e.OpenHandleCount())
 	}

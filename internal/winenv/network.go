@@ -2,28 +2,6 @@ package winenv
 
 import "fmt"
 
-// Flow records one outbound network interaction (connect/send/recv/resolve).
-type Flow struct {
-	Tick      uint64
-	Principal string
-	// Verb is one of "resolve", "connect", "send", "recv", "http".
-	Verb string
-	// Target is a host:port or hostname or URL.
-	Target string
-	// Bytes is the payload size for send/recv.
-	Bytes int
-	// OK reports whether the interaction succeeded.
-	OK bool
-}
-
-// MaxFlows caps the retained flow log. A long worm simulation records
-// network activity without bound otherwise; when the cap is reached the
-// oldest half is discarded (capacity-capped, so slices handed out
-// earlier stay intact). Trimming is deferred while snapshots are open:
-// rewind indexes into the flow log must stay valid, and snapshot-scoped
-// runs are bounded by their step budget anyway.
-const MaxFlows = 4096
-
 // Responder scripts the network's side of a dialogue — the pseudo-C2
 // plug-in point (package c2 provides the scenario-driven
 // implementation). All methods are consulted only after blackholes and
@@ -92,9 +70,6 @@ type Network struct {
 	// pattern sinkholes live here.
 	resolveHooks []ResolveHook
 	responder    Responder
-	flows        []Flow
-	// flowsDropped counts entries discarded by the MaxFlows cap.
-	flowsDropped int
 	nextSocket   Handle
 	sockets      map[Handle]string // socket -> connected target
 }
@@ -173,87 +148,35 @@ func (n *Network) AddResolveHook(h ResolveHook) {
 // ResolveHookCount returns the number of installed resolve hooks.
 func (n *Network) ResolveHookCount() int { return len(n.resolveHooks) }
 
-// Flows returns the recorded network interactions (the retained tail;
-// see MaxFlows).
-func (n *Network) Flows() []Flow { return n.flows }
-
-// FlowsDropped returns the number of flow entries discarded by the cap.
-func (n *Network) FlowsDropped() int { return n.flowsDropped }
-
-// ResetFlows clears the flow log.
-func (n *Network) ResetFlows() { n.flows = nil }
-
-// trimFlows drops the oldest entries so the log holds at most
-// MaxFlows/2, accounting the discards in flowsDropped. Callers must
-// ensure no snapshot is open (open snapshots hold rewind indexes into
-// the log); Snapshot.Close invokes it when the outermost snapshot
-// closes, so deferred growth is reclaimed instead of persisting.
-func (n *Network) trimFlows() {
-	if len(n.flows) <= MaxFlows {
-		return
-	}
-	keep := MaxFlows / 2
-	trimmed := make([]Flow, keep, MaxFlows)
-	copy(trimmed, n.flows[len(n.flows)-keep:])
-	n.flowsDropped += len(n.flows) - keep
-	n.flows = trimmed
-}
-
-// record appends a flow entry, trimming the oldest half once the log
-// exceeds MaxFlows (only while no snapshot is open: open snapshots hold
-// rewind indexes into the log; the deferred trim happens when the
-// outermost snapshot closes).
-func (n *Network) record(principal, verb, target string, bytes int, ok bool) {
-	n.env.tick++
-	if len(n.flows) >= MaxFlows && len(n.env.snaps) == 0 {
-		keep := MaxFlows / 2
-		trimmed := make([]Flow, keep, MaxFlows)
-		copy(trimmed, n.flows[len(n.flows)-keep:])
-		n.flowsDropped += len(n.flows) - keep
-		n.flows = trimmed
-	}
-	n.flows = append(n.flows, Flow{
-		Tick: n.env.tick, Principal: principal, Verb: verb,
-		Target: target, Bytes: bytes, OK: ok,
-	})
-}
-
 // Resolve performs a DNS lookup. Authority order: blackholes (vaccine),
 // forced registrations (vaccine), resolve hooks (vaccine daemon),
 // responder (scripted world), configured DNS, synthetic success.
-func (n *Network) Resolve(principal, host string) (string, bool) {
+func (n *Network) Resolve(host string) (string, bool) {
 	if n.blackholed[host] {
-		n.record(principal, "resolve", host, 0, false)
 		return "", false
 	}
 	if n.registered[host] {
-		n.record(principal, "resolve", host, 0, true)
 		return n.addrFor(host), true
 	}
 	for _, h := range n.resolveHooks {
 		switch h(host) {
 		case VerdictResolve:
-			n.record(principal, "resolve", host, 0, true)
 			return n.addrFor(host), true
 		case VerdictRefuse:
-			n.record(principal, "resolve", host, 0, false)
 			return "", false
 		}
 	}
 	if n.responder != nil {
 		if ip, ok, handled := n.responder.ResolveHost(host); handled {
 			if !ok {
-				n.record(principal, "resolve", host, 0, false)
 				return "", false
 			}
 			if ip == "" {
 				ip = n.addrFor(host)
 			}
-			n.record(principal, "resolve", host, 0, true)
 			return ip, true
 		}
 	}
-	n.record(principal, "resolve", host, 0, true)
 	return n.addrFor(host), true
 }
 
@@ -295,68 +218,26 @@ func hostOf(target string) string {
 	return target
 }
 
-// Connect opens a connection to host:port, returning a socket handle.
-func (n *Network) Connect(principal, target string) (Handle, bool) {
-	if !n.accepts(target) {
-		n.record(principal, "connect", target, 0, false)
-		return InvalidHandle, false
-	}
-	s := n.nextSocket
-	n.nextSocket += 4
-	if len(n.env.snaps) > 0 {
-		n.env.noteSocket(s)
-	}
-	n.sockets[s] = target
-	n.record(principal, "connect", target, 0, true)
-	return s, true
-}
-
-// Send transmits bytes on a socket.
-func (n *Network) Send(principal string, s Handle, size int) bool {
-	target, ok := n.sockets[s]
-	if !ok {
-		n.record(principal, "send", "?", size, false)
-		return false
-	}
-	n.record(principal, "send", target, size, true)
-	return true
-}
-
 // SendPayload transmits concrete bytes on a socket, exposing them to
 // the responder's dialogue matching (beacon protocols).
-func (n *Network) SendPayload(principal string, s Handle, data []byte) bool {
+func (n *Network) SendPayload(s Handle, data []byte) bool {
 	target, ok := n.sockets[s]
 	if !ok {
-		n.record(principal, "send", "?", len(data), false)
 		return false
 	}
 	if n.responder != nil {
 		n.responder.ObserveSend(target, data)
 	}
-	n.record(principal, "send", target, len(data), true)
 	return true
-}
-
-// Recv receives bytes on a socket; the simulation returns a fixed-size
-// synthetic payload.
-func (n *Network) Recv(principal string, s Handle, want int) (int, bool) {
-	target, ok := n.sockets[s]
-	if !ok {
-		n.record(principal, "recv", "?", 0, false)
-		return 0, false
-	}
-	n.record(principal, "recv", target, want, true)
-	return want, true
 }
 
 // RecvPayload asks the scripted responder for up to want response
 // bytes on a socket. handled=false means no responder answered and the
 // caller should fall back to its default payload (the legacy synthetic
 // bytes), keeping unscripted runs byte-identical.
-func (n *Network) RecvPayload(principal string, s Handle, want int) (data []byte, ok, handled bool) {
+func (n *Network) RecvPayload(s Handle, want int) (data []byte, ok, handled bool) {
 	target, bound := n.sockets[s]
 	if !bound {
-		n.record(principal, "recv", "?", 0, false)
 		return nil, false, true
 	}
 	if n.responder == nil {
@@ -369,38 +250,24 @@ func (n *Network) RecvPayload(principal string, s Handle, want int) (data []byte
 	if len(data) > want {
 		data = data[:want]
 	}
-	n.record(principal, "recv", target, len(data), true)
 	return data, true, true
 }
 
 // BindConnect connects a caller-allocated socket handle to a target.
-func (n *Network) BindConnect(principal string, s Handle, target string) bool {
+func (n *Network) BindConnect(s Handle, target string) bool {
 	if !n.accepts(target) {
-		n.record(principal, "connect", target, 0, false)
 		return false
 	}
 	if len(n.env.snaps) > 0 {
 		n.env.noteSocket(s)
 	}
 	n.sockets[s] = target
-	n.record(principal, "connect", target, 0, true)
 	return true
 }
 
-// RecordSend logs an outbound transmission without socket bookkeeping.
-func (n *Network) RecordSend(principal string, bytes int) {
-	n.record(principal, "send", "-", bytes, true)
-}
-
-// RecordRecv logs an inbound transmission without socket bookkeeping.
-func (n *Network) RecordRecv(principal string, bytes int) {
-	n.record(principal, "recv", "-", bytes, true)
-}
-
 // HTTPGet simulates fetching a URL, returning a request handle.
-func (n *Network) HTTPGet(principal, url string) (Handle, bool) {
+func (n *Network) HTTPGet(url string) (Handle, bool) {
 	if !n.accepts(url) {
-		n.record(principal, "http", url, 0, false)
 		return InvalidHandle, false
 	}
 	s := n.nextSocket
@@ -409,7 +276,6 @@ func (n *Network) HTTPGet(principal, url string) (Handle, bool) {
 		n.env.noteSocket(s)
 	}
 	n.sockets[s] = url
-	n.record(principal, "http", url, 0, true)
 	return s, true
 }
 

@@ -7,16 +7,16 @@ import (
 
 func TestResolveDefaultAndDNS(t *testing.T) {
 	n := New(DefaultIdentity()).Net()
-	ip, ok := n.Resolve("mal.exe", "cc.example.com")
+	ip, ok := n.Resolve("cc.example.com")
 	if !ok || ip == "" {
 		t.Fatalf("unknown host should resolve synthetically, got %q ok=%v", ip, ok)
 	}
-	ip2, _ := n.Resolve("mal.exe", "cc.example.com")
+	ip2, _ := n.Resolve("cc.example.com")
 	if ip2 != ip {
 		t.Fatalf("synthetic address not stable: %q vs %q", ip, ip2)
 	}
 	n.AddDNS("update.example.com", "93.184.216.34")
-	if ip, ok := n.Resolve("mal.exe", "update.example.com"); !ok || ip != "93.184.216.34" {
+	if ip, ok := n.Resolve("update.example.com"); !ok || ip != "93.184.216.34" {
 		t.Fatalf("configured DNS ignored: %q ok=%v", ip, ok)
 	}
 }
@@ -25,17 +25,17 @@ func TestBlackholeFailsResolveAndConnect(t *testing.T) {
 	n := New(DefaultIdentity()).Net()
 	n.Blackhole("evil.example.com")
 	n.Blackhole("10.0.0.1:445")
-	if _, ok := n.Resolve("mal.exe", "evil.example.com"); ok {
+	if _, ok := n.Resolve("evil.example.com"); ok {
 		t.Fatal("blackholed host resolved")
 	}
 	if !n.Blackholed("evil.example.com") {
 		t.Fatal("Blackholed() false for blackholed host")
 	}
-	if h, ok := n.Connect("mal.exe", "10.0.0.1:445"); ok || h != InvalidHandle {
-		t.Fatalf("connect to blackholed target succeeded: %v %v", h, ok)
+	if n.BindConnect(Handle(0x7000), "10.0.0.1:445") {
+		t.Fatal("connect to blackholed target succeeded")
 	}
 	n.Unblackhole("evil.example.com")
-	if _, ok := n.Resolve("mal.exe", "evil.example.com"); !ok {
+	if _, ok := n.Resolve("evil.example.com"); !ok {
 		t.Fatal("unblackholed host still fails")
 	}
 }
@@ -43,21 +43,21 @@ func TestBlackholeFailsResolveAndConnect(t *testing.T) {
 func TestRegisterOverridesResponderRefusal(t *testing.T) {
 	n := New(DefaultIdentity()).Net()
 	n.SetResponder(refuseAllResponder{})
-	if _, ok := n.Resolve("mal.exe", "killswitch.example.com"); ok {
+	if _, ok := n.Resolve("killswitch.example.com"); ok {
 		t.Fatal("responder refusal ignored")
 	}
 	n.Register("killswitch.example.com")
 	if !n.Registered("killswitch.example.com") {
 		t.Fatal("Registered() false after Register")
 	}
-	if _, ok := n.Resolve("mal.exe", "killswitch.example.com"); !ok {
+	if _, ok := n.Resolve("killswitch.example.com"); !ok {
 		t.Fatal("registered domain did not resolve")
 	}
-	if _, ok := n.Connect("mal.exe", "killswitch.example.com:80"); !ok {
+	if !n.BindConnect(Handle(0x7000), "killswitch.example.com:80") {
 		t.Fatal("connect to registered domain refused")
 	}
 	n.Deregister("killswitch.example.com")
-	if _, ok := n.Resolve("mal.exe", "killswitch.example.com"); ok {
+	if _, ok := n.Resolve("killswitch.example.com"); ok {
 		t.Fatal("deregistered domain still resolves")
 	}
 }
@@ -86,73 +86,58 @@ func TestResolveHookVerdicts(t *testing.T) {
 	if n.ResolveHookCount() != 1 {
 		t.Fatalf("hook count = %d", n.ResolveHookCount())
 	}
-	if _, ok := n.Resolve("mal.exe", "sinkhole.example.com"); ok {
+	if _, ok := n.Resolve("sinkhole.example.com"); ok {
 		t.Fatal("VerdictRefuse did not block resolution")
 	}
-	if _, ok := n.Resolve("mal.exe", "forced.example.com"); !ok {
+	if _, ok := n.Resolve("forced.example.com"); !ok {
 		t.Fatal("VerdictResolve did not force resolution")
 	}
-	if _, ok := n.Resolve("mal.exe", "other.example.com"); !ok {
+	if _, ok := n.Resolve("other.example.com"); !ok {
 		t.Fatal("VerdictNone should fall through to default success")
 	}
 }
 
 func TestConnectSendRecvLifecycle(t *testing.T) {
 	n := New(DefaultIdentity()).Net()
-	s, ok := n.Connect("mal.exe", "cc.example.com:8080")
-	if !ok || s == InvalidHandle {
-		t.Fatalf("connect failed: %v %v", s, ok)
+	s := Handle(0x7000)
+	if !n.BindConnect(s, "cc.example.com:8080") {
+		t.Fatal("connect failed")
 	}
-	if !n.Send("mal.exe", s, 32) {
+	if !n.SendPayload(s, []byte("hello")) {
 		t.Fatal("send on open socket failed")
 	}
-	if got, ok := n.Recv("mal.exe", s, 64); !ok || got != 64 {
-		t.Fatalf("recv = %d, %v", got, ok)
+	// Unscripted, a bound socket leaves the reply to the caller's
+	// synthetic payload.
+	if _, _, handled := n.RecvPayload(s, 64); handled {
+		t.Fatal("recv on an unscripted socket was handled")
 	}
 	n.CloseSocket(s)
-	if n.Send("mal.exe", s, 8) {
+	if n.SendPayload(s, []byte("x")) {
 		t.Fatal("send on closed socket succeeded")
 	}
-	if _, ok := n.Recv("mal.exe", s, 8); ok {
-		t.Fatal("recv on closed socket succeeded")
-	}
-	// Flow log captured the whole dialogue including the failures.
-	var verbs []string
-	for _, f := range n.Flows() {
-		verbs = append(verbs, f.Verb)
-	}
-	want := []string{"connect", "send", "recv", "send", "recv"}
-	if len(verbs) != len(want) {
-		t.Fatalf("flows = %v, want verbs %v", verbs, want)
-	}
-	for i := range want {
-		if verbs[i] != want[i] {
-			t.Fatalf("flow %d verb = %q, want %q", i, verbs[i], want[i])
-		}
-	}
-	if f := n.Flows()[3]; f.OK || f.Target != "?" {
-		t.Fatalf("closed-socket send flow = %+v", f)
+	if _, ok, handled := n.RecvPayload(s, 8); ok || !handled {
+		t.Fatal("recv on closed socket should fail as handled")
 	}
 }
 
 func TestBindConnectAndHTTPGet(t *testing.T) {
 	n := New(DefaultIdentity()).Net()
-	if !n.BindConnect("mal.exe", Handle(0x2000), "cc.example.com:445") {
+	if !n.BindConnect(Handle(0x2000), "cc.example.com:445") {
 		t.Fatal("BindConnect failed")
 	}
-	if !n.Send("mal.exe", Handle(0x2000), 16) {
+	if !n.SendPayload(Handle(0x2000), make([]byte, 16)) {
 		t.Fatal("send on bound socket failed")
 	}
 	n.Blackhole("cc2.example.com:445")
-	if n.BindConnect("mal.exe", Handle(0x2004), "cc2.example.com:445") {
+	if n.BindConnect(Handle(0x2004), "cc2.example.com:445") {
 		t.Fatal("BindConnect to blackholed target succeeded")
 	}
-	h, ok := n.HTTPGet("mal.exe", "http://payload.example.com/stage2.bin")
+	h, ok := n.HTTPGet("http://payload.example.com/stage2.bin")
 	if !ok || h == InvalidHandle {
 		t.Fatalf("HTTPGet failed: %v %v", h, ok)
 	}
 	n.Blackhole("http://payload2.example.com/x")
-	if _, ok := n.HTTPGet("mal.exe", "http://payload2.example.com/x"); ok {
+	if _, ok := n.HTTPGet("http://payload2.example.com/x"); ok {
 		t.Fatal("HTTPGet to blackholed URL succeeded")
 	}
 }
@@ -164,27 +149,28 @@ func TestSendRecvPayloadDialogue(t *testing.T) {
 	if !n.HasResponder() {
 		t.Fatal("HasResponder false after SetResponder")
 	}
-	s, _ := n.Connect("mal.exe", "beacon.example.com:80")
-	if !n.SendPayload("mal.exe", s, []byte("PING")) {
+	s := Handle(0x7000)
+	n.BindConnect(s, "beacon.example.com:80")
+	if !n.SendPayload(s, []byte("PING")) {
 		t.Fatal("SendPayload failed")
 	}
 	if !bytes.Equal(r.lastSent, []byte("PING")) {
 		t.Fatalf("responder observed %q", r.lastSent)
 	}
-	data, ok, handled := n.RecvPayload("mal.exe", s, 2)
+	data, ok, handled := n.RecvPayload(s, 2)
 	if !handled || !ok || !bytes.Equal(data, []byte("PI")) {
 		t.Fatalf("RecvPayload = %q %v %v (want echo truncated to 2)", data, ok, handled)
 	}
 	// Without a responder, RecvPayload reports unhandled so callers fall
 	// back to the legacy synthetic bytes.
 	n.SetResponder(nil)
-	if _, _, handled := n.RecvPayload("mal.exe", s, 8); handled {
+	if _, _, handled := n.RecvPayload(s, 8); handled {
 		t.Fatal("RecvPayload handled without a responder")
 	}
-	if n.SendPayload("mal.exe", Handle(0xdead), []byte("x")) {
+	if n.SendPayload(Handle(0xdead), []byte("x")) {
 		t.Fatal("SendPayload on unknown socket succeeded")
 	}
-	if _, ok, handled := n.RecvPayload("mal.exe", Handle(0xdead), 8); ok || !handled {
+	if _, ok, handled := n.RecvPayload(Handle(0xdead), 8); ok || !handled {
 		t.Fatal("RecvPayload on unknown socket should fail as handled")
 	}
 }
@@ -203,91 +189,6 @@ func (e *echoResponder) Payload(_ string, want int) ([]byte, bool) {
 func (e *echoResponder) Mark() any { return len(e.lastSent) }
 func (e *echoResponder) Rewind(m any) {
 	e.lastSent = e.lastSent[:m.(int)]
-}
-
-func TestFlowCapTrimsOldest(t *testing.T) {
-	n := New(DefaultIdentity()).Net()
-	for i := 0; i < MaxFlows+10; i++ {
-		n.Resolve("mal.exe", "cc.example.com")
-	}
-	if len(n.Flows()) > MaxFlows {
-		t.Fatalf("flow log exceeded cap: %d > %d", len(n.Flows()), MaxFlows)
-	}
-	if n.FlowsDropped() == 0 {
-		t.Fatal("FlowsDropped not counted")
-	}
-	// The retained tail is the newest entries: ticks strictly increase
-	// and end at the final tick.
-	flows := n.Flows()
-	last := flows[len(flows)-1].Tick
-	for i := 1; i < len(flows); i++ {
-		if flows[i].Tick <= flows[i-1].Tick {
-			t.Fatal("retained flows out of order")
-		}
-	}
-	if want := uint64(MaxFlows + 10); last != want {
-		t.Fatalf("last tick = %d, want %d", last, want)
-	}
-}
-
-func TestFlowCapDeferredUnderSnapshot(t *testing.T) {
-	e := New(DefaultIdentity())
-	n := e.Net()
-	s := e.Snapshot()
-	defer s.Close()
-	for i := 0; i < MaxFlows+50; i++ {
-		n.Resolve("mal.exe", "cc.example.com")
-	}
-	// No trim while the snapshot is open: its rewind index must stay
-	// valid.
-	if len(n.Flows()) != MaxFlows+50 {
-		t.Fatalf("flows trimmed under open snapshot: %d", len(n.Flows()))
-	}
-	e.Reset(s)
-	if len(n.Flows()) != 0 {
-		t.Fatalf("reset did not rewind flows: %d", len(n.Flows()))
-	}
-}
-
-func TestFlowCapReclaimedOnSnapshotClose(t *testing.T) {
-	// The cap is deferred while snapshots are open, but the deferral
-	// must not be permanent: closing the outermost snapshot without a
-	// rewind (the "keep this run's state" path) reclaims the growth.
-	e := New(DefaultIdentity())
-	n := e.Net()
-	outer := e.Snapshot()
-	inner := e.Snapshot()
-	total := 2*MaxFlows + 100
-	for i := 0; i < total; i++ {
-		n.Resolve("mal.exe", "cc.example.com")
-	}
-	inner.Close()
-	// An inner close must not trim: the outer snapshot still holds a
-	// rewind index into the log.
-	if len(n.Flows()) != total {
-		t.Fatalf("inner close trimmed flows under an open outer snapshot: %d", len(n.Flows()))
-	}
-	outer.Close()
-	if got := len(n.Flows()); got > MaxFlows {
-		t.Fatalf("flows unbounded after outermost close: %d > %d", got, MaxFlows)
-	}
-	keep := MaxFlows / 2
-	if got := len(n.Flows()); got != keep {
-		t.Fatalf("retained %d flows after close, want %d", got, keep)
-	}
-	if got, want := n.FlowsDropped(), total-keep; got != want {
-		t.Fatalf("FlowsDropped = %d, want %d", got, want)
-	}
-	// The retained tail is the newest entries, still in order.
-	flows := n.Flows()
-	for i := 1; i < len(flows); i++ {
-		if flows[i].Tick <= flows[i-1].Tick {
-			t.Fatal("retained flows out of order")
-		}
-	}
-	if last := flows[len(flows)-1].Tick; last != uint64(total) {
-		t.Fatalf("last retained tick = %d, want %d", last, total)
-	}
 }
 
 func TestSnapshotRewindsNetworkTables(t *testing.T) {
@@ -331,11 +232,13 @@ func TestNestedSnapshotRewindsSocketsAndDNS(t *testing.T) {
 	n.AddDNS("base.example.com", "1.1.1.1")
 
 	outer := e.Snapshot()
-	s1, _ := n.Connect("mal.exe", "a.example.com:80")
+	s1 := Handle(0x7000)
+	n.BindConnect(s1, "a.example.com:80")
 	n.AddDNS("outer.example.com", "2.2.2.2")
 
 	inner := e.Snapshot()
-	s2, _ := n.Connect("mal.exe", "b.example.com:80")
+	s2 := Handle(0x7004)
+	n.BindConnect(s2, "b.example.com:80")
 	n.AddDNS("inner.example.com", "3.3.3.3")
 	n.CloseSocket(s1)
 
@@ -372,11 +275,12 @@ func TestSnapshotRewindsResponderState(t *testing.T) {
 	n := e.Net()
 	r := &echoResponder{}
 	n.SetResponder(r)
-	s0, _ := n.Connect("mal.exe", "beacon.example.com:80")
-	n.SendPayload("mal.exe", s0, []byte("AB"))
+	s0 := Handle(0x7000)
+	n.BindConnect(s0, "beacon.example.com:80")
+	n.SendPayload(s0, []byte("AB"))
 
 	snap := e.Snapshot()
-	n.SendPayload("mal.exe", s0, []byte("ABCD"))
+	n.SendPayload(s0, []byte("ABCD"))
 	if len(r.lastSent) != 4 {
 		t.Fatalf("responder state = %d bytes", len(r.lastSent))
 	}
@@ -384,24 +288,5 @@ func TestSnapshotRewindsResponderState(t *testing.T) {
 	snap.Close()
 	if string(r.lastSent) != "AB" {
 		t.Fatalf("responder state not rewound: %q", r.lastSent)
-	}
-}
-
-func TestCloneCopiesRegistrations(t *testing.T) {
-	e := New(DefaultIdentity())
-	n := e.Net()
-	n.Register("killswitch.example.com")
-	n.SetResponder(&echoResponder{})
-	c := e.Clone()
-	cn := c.Net()
-	if !cn.Registered("killswitch.example.com") {
-		t.Fatal("clone lost registration")
-	}
-	if cn.HasResponder() {
-		t.Fatal("clone must not share the responder")
-	}
-	cn.Deregister("killswitch.example.com")
-	if !n.Registered("killswitch.example.com") {
-		t.Fatal("clone deregistration leaked into original")
 	}
 }

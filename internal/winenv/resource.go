@@ -215,17 +215,15 @@ type Resource struct {
 	// Name is the identifier in its original spelling. Lookups are
 	// case-insensitive, matching Windows namespace semantics.
 	Name string
-	// Data holds file contents or a registry value.
+	// Data holds file contents or a registry value. Registry sub-values
+	// are modelled as their own resources named "<key>\<value>", so
+	// keys carry no value map.
 	Data []byte
 	// Owner records who created the resource: a program name, "system"
 	// for pre-existing resources, or "vaccine" for injected vaccines.
 	Owner string
 	// ACL restricts operations on the resource.
 	ACL ACL
-	// CreatedAt is the logical tick at which the resource was created.
-	// Registry sub-values are modelled as their own resources named
-	// "<key>\<value>", so keys carry no value map.
-	CreatedAt uint64
 }
 
 // clone returns a deep copy of the resource.

@@ -5,36 +5,33 @@ import (
 	"slices"
 )
 
-// Snapshot captures an environment state for cheap repeated rewind.
-// Unlike Clone — which deep-copies every namespace up front — a
-// snapshot records nothing at capture time and journals undo entries
-// only for state the run actually touches (first-touch copy-on-write),
-// so resetting after a typical emulated execution undoes a handful of
-// resources instead of rebuilding ~50 maps. This is the arena primitive
-// behind Phase-II's per-candidate re-executions (§IV-B) and per-host
-// slice replays (§IV-C).
+// Snapshot captures an environment state for cheap repeated rewind,
+// and is the one way to fork a host: it records nothing at capture time
+// and journals undo entries only for state the run actually touches
+// (first-touch copy-on-write), so resetting after a typical emulated
+// execution undoes a handful of resources instead of rebuilding ~50
+// maps. This is the arena primitive behind Phase-II's per-candidate
+// re-executions (§IV-B) and per-host slice replays (§IV-C).
 //
 // Snapshots nest: Reset rewinds to the most recent (innermost) open
 // snapshot only, and Close releases it. Journaling covers the resource
-// namespaces, the handle table, sockets, flows, hooks added after
-// capture, the network's DNS/blackhole/registration tables and
-// resolve hooks, the attached responder's dialogue state (via
-// Responder.Mark/Rewind), and the scalar registers (identity,
-// last-error, tick, next handle). It does NOT cover test-configuration
-// state mutated in place — hook truncation after ClearHooks, responder
-// attachment itself — which experiment code changes only between runs.
+// namespaces, the handle table, sockets, hooks added after capture, the
+// network's DNS/blackhole/registration tables and resolve hooks, the
+// attached responder's dialogue state (via Responder.Mark/Rewind), and
+// the scalar registers (identity, last-error, next handle). It does NOT
+// cover test-configuration state mutated in place — hook truncation
+// after ClearHooks, responder attachment itself — which experiment code
+// changes only between runs.
 type Snapshot struct {
 	env *Env
 
 	identity HostIdentity
 	next     Handle
 	lastErr  ErrorCode
-	tick     uint64
 	hooks    int
 
 	hadNet        bool
 	netNextSocket Handle
-	netFlows      int
 	netHooks      int
 	respMark      any
 	hadResponder  bool
@@ -90,7 +87,6 @@ func (e *Env) Snapshot() *Snapshot {
 		identity:  e.identity,
 		next:      e.next,
 		lastErr:   e.lastErr,
-		tick:      e.tick,
 		hooks:     len(e.hooks),
 		resources: make(map[resKey]*Resource),
 		handles:   make(map[Handle]openHandle),
@@ -98,7 +94,6 @@ func (e *Env) Snapshot() *Snapshot {
 	if e.net != nil {
 		s.hadNet = true
 		s.netNextSocket = e.net.nextSocket
-		s.netFlows = len(e.net.flows)
 		s.netHooks = len(e.net.resolveHooks)
 		s.sockets = make(map[Handle]sockPrior)
 		s.netEntries = make(map[netEntryKey]netEntryPrior)
@@ -113,8 +108,7 @@ func (e *Env) Snapshot() *Snapshot {
 
 // Reset rewinds the environment to the snapshot, which must be the
 // innermost open one. The snapshot stays open: the next run's touches
-// journal afresh. Flow slices handed out before the reset stay intact
-// (truncation caps capacity, so later appends reallocate).
+// journal afresh.
 func (e *Env) Reset(s *Snapshot) {
 	if s == nil || s.env != e || len(e.snaps) == 0 || e.snaps[len(e.snaps)-1] != s {
 		panic("winenv: Reset of a snapshot that is not the environment's innermost")
@@ -140,7 +134,6 @@ func (e *Env) Reset(s *Snapshot) {
 	e.identity = s.identity
 	e.next = s.next
 	e.lastErr = s.lastErr
-	e.tick = s.tick
 	if len(e.hooks) > s.hooks {
 		e.hooks = e.hooks[:s.hooks]
 	}
@@ -182,9 +175,6 @@ func (e *Env) Reset(s *Snapshot) {
 		}
 		clear(s.netEntries)
 		n.nextSocket = s.netNextSocket
-		if len(n.flows) > s.netFlows {
-			n.flows = n.flows[:s.netFlows:s.netFlows]
-		}
 		if len(n.resolveHooks) > s.netHooks {
 			n.resolveHooks = n.resolveHooks[:s.netHooks]
 		}
@@ -197,7 +187,7 @@ func (e *Env) Reset(s *Snapshot) {
 // Affects reports whether a run that reads rs could observe a
 // difference between the environment's current state and the open
 // snapshot s. It does when any of these differs from the snapshot: the
-// identity, last-error, tick or next-handle register, a journaled
+// identity, last-error or next-handle register, a journaled
 // handle entry, or the hook count; the network, for a run that used it;
 // or a journaled resource that rs read, compared by value, so keys
 // touched and then rewound since the snapshot (a nested slice replay
@@ -207,7 +197,7 @@ func (e *Env) Reset(s *Snapshot) {
 // the run need not be made again.
 func (s *Snapshot) Affects(rs *ReadSet) bool {
 	e := s.env
-	if e.identity != s.identity || e.lastErr != s.lastErr || e.tick != s.tick ||
+	if e.identity != s.identity || e.lastErr != s.lastErr ||
 		e.next != s.next || len(e.hooks) != s.hooks {
 		return true
 	}
@@ -229,7 +219,7 @@ func (s *Snapshot) Affects(rs *ReadSet) bool {
 
 // netChanged reports whether the network differs from the snapshot:
 // created or dropped since, a journaled socket or table entry changed,
-// or the socket counter, flow log or resolve hooks grown. A scripted
+// or the socket counter or resolve hooks grown. A scripted
 // responder's dialogue state is opaque, so a network with one always
 // counts as changed.
 func (s *Snapshot) netChanged() bool {
@@ -238,7 +228,7 @@ func (s *Snapshot) netChanged() bool {
 		return s.hadNet != (n != nil)
 	}
 	if n.responder != nil || n.nextSocket != s.netNextSocket ||
-		len(n.flows) != s.netFlows || len(n.resolveHooks) != s.netHooks {
+		len(n.resolveHooks) != s.netHooks {
 		return true
 	}
 	for h, prior := range s.sockets {
@@ -261,7 +251,7 @@ func sameResource(a, b *Resource) bool {
 		return a == b
 	}
 	return a.Kind == b.Kind && a.Name == b.Name && a.Owner == b.Owner &&
-		a.CreatedAt == b.CreatedAt && bytes.Equal(a.Data, b.Data) &&
+		bytes.Equal(a.Data, b.Data) &&
 		a.ACL.OwnerOnly == b.ACL.OwnerOnly && slices.Equal(a.ACL.Deny, b.ACL.Deny)
 }
 
@@ -283,12 +273,6 @@ func (s *Snapshot) Close() {
 		return // already closed
 	}
 	e.snaps = e.snaps[:len(e.snaps)-1]
-	if len(e.snaps) == 0 && e.net != nil {
-		// The flow cap is deferred while snapshots are open (they hold
-		// rewind indexes into the log); reclaim the growth now that the
-		// outermost snapshot is gone.
-		e.net.trimFlows()
-	}
 }
 
 // noteResource journals a resource's prior value into every open

@@ -51,7 +51,7 @@ func TestSnapshotUndoesCreateWriteDelete(t *testing.T) {
 
 func TestSnapshotUndoesHandlesAndScalars(t *testing.T) {
 	e := snapEnv()
-	tick0, next0 := e.Tick(), e.OpenHandleCount()
+	next0 := e.OpenHandleCount()
 	e.SetLastError(ErrSuccess)
 
 	snap := e.Snapshot()
@@ -74,9 +74,6 @@ func TestSnapshotUndoesHandlesAndScalars(t *testing.T) {
 	}
 	if _, _, ok := e.HandleName(res.Handle); ok {
 		t.Error("run handle still resolves after reset")
-	}
-	if e.Tick() != tick0 {
-		t.Errorf("tick = %d, want %d", e.Tick(), tick0)
 	}
 	if e.LastError() != ErrSuccess {
 		t.Errorf("last-error = %v, want success", e.LastError())
@@ -111,28 +108,27 @@ func TestSnapshotUndoesInjectAndRemove(t *testing.T) {
 func TestSnapshotUndoesNetwork(t *testing.T) {
 	e := snapEnv()
 	n := e.Net() // network exists before the snapshot
-	flows0 := len(n.Flows())
 
 	snap := e.Snapshot()
 	defer snap.Close()
 
-	s, ok := n.Connect("mal", "10.0.0.1:80")
+	h, ok := n.HTTPGet("http://10.0.0.1/stage2.bin")
 	if !ok {
+		t.Fatal("HTTPGet failed")
+	}
+	s := Handle(0x7000)
+	if !n.BindConnect(s, "10.0.0.1:80") {
 		t.Fatal("connect failed")
 	}
-	n.Send("mal", s, 128)
 	e.Reset(snap)
 
-	if len(n.Flows()) != flows0 {
-		t.Errorf("flows = %d, want %d", len(n.Flows()), flows0)
-	}
-	if n.Send("mal", s, 1) {
+	if n.SendPayload(h, nil) || n.SendPayload(s, nil) {
 		t.Error("run socket still bound after reset")
 	}
-	// Socket numbering restarts identically.
-	s2, _ := n.Connect("mal", "10.0.0.1:80")
-	if s2 != s {
-		t.Errorf("socket after reset = %#x, want %#x", s2, s)
+	// Request handle numbering restarts identically.
+	h2, _ := n.HTTPGet("http://10.0.0.1/stage2.bin")
+	if h2 != h {
+		t.Errorf("request handle after reset = %#x, want %#x", h2, h)
 	}
 }
 
@@ -140,7 +136,7 @@ func TestSnapshotForgetsNetworkBornDuringRun(t *testing.T) {
 	e := snapEnv()
 	snap := e.Snapshot()
 	defer snap.Close()
-	e.Net().Connect("mal", "10.0.0.1:80") // first Net() call creates it
+	e.Net().BindConnect(Handle(0x7000), "10.0.0.1:80") // first Net() call creates it
 	e.Reset(snap)
 	if e.net != nil {
 		t.Error("network born during the run survived reset")
@@ -239,7 +235,7 @@ func TestSnapshotAffects(t *testing.T) {
 	}
 	online := func(e *Env) {
 		offline(e)
-		e.Net().Resolve("app", "update.example")
+		e.Net().Resolve("update.example")
 	}
 	lister := func(e *Env) { e.List(KindFile, "") }
 	cases := []struct {
@@ -256,7 +252,6 @@ func TestSnapshotAffects(t *testing.T) {
 			e.SetIdentity(id)
 		}, true},
 		{"last error", false, offline, func(e *Env) { e.SetLastError(ErrAccessDenied) }, true},
-		{"tick", false, offline, func(e *Env) { e.tick++ }, true},
 		{"next handle", false, offline, func(e *Env) { e.next += 4 }, true},
 		{"handle opened", false, offline, func(e *Env) {
 			e.open(Request{Kind: KindMutex, Name: "!Other", Principal: "test"})
@@ -267,7 +262,7 @@ func TestSnapshotAffects(t *testing.T) {
 		{"network created, run offline", false, offline, func(e *Env) { e.Net() }, false},
 		{"network entry changed, run used it", true, online, func(e *Env) { e.Net().Blackhole("c2.example") }, true},
 		{"network entry changed, run offline", true, offline, func(e *Env) { e.Net().Blackhole("c2.example") }, false},
-		{"network flow logged, run used it", true, online, func(e *Env) { e.Net().Resolve("other", "c2.example") }, true},
+		{"unscripted resolve, run used it", true, online, func(e *Env) { e.Net().Resolve("c2.example") }, false},
 		{"resolve hook added, run used it", true, online, func(e *Env) {
 			e.Net().AddResolveHook(func(string) ResolveVerdict { return VerdictNone })
 		}, true},
